@@ -14,20 +14,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from caresim import ModelKind, export_metrics_csv, preset_full_scale, run_batch
+from caresim import METRIC_FIELDS, ModelKind, export_metrics_csv, preset_full_scale, run_batch
 
-SUMMARY_FIELDS = (
-    "doctor_fitness",
-    "patient_fitness",
-    "research_ability",
-    "empathy",
-    "weight_wmrat",
-    "weight_mwres",
-    "cred_weight",
-    "mean_rating_weight",
-    "past_rating_weight",
-    "resilience",
-)
+# The ten trait/fitness means; the event counts after them are left out.
+SUMMARY_FIELDS = METRIC_FIELDS[:10]
 
 
 def main() -> int:

@@ -34,13 +34,6 @@ class Credential(str, Enum):
     MEDIUM = "medium"
     HIGH = "high"
 
-    @property
-    def rank(self) -> int:
-        return _CREDENTIAL_RANK[self]
-
-
-_CREDENTIAL_RANK = {Credential.LOW: 0, Credential.MEDIUM: 1, Credential.HIGH: 2}
-
 PERSONAL_RESOURCE_CONSTRAINT = 0.8
 
 
@@ -50,7 +43,6 @@ class DoctorState:
     experience: int = 0
     research_ability: float = 0.0
     empathy: float = 0.0
-    personal_resource_constraint: float = PERSONAL_RESOURCE_CONSTRAINT
     personal_resource: float = 1.0 - PERSONAL_RESOURCE_CONSTRAINT
     technological_resource_constraint: float = 0.2
     credential: Credential = Credential.LOW

@@ -34,10 +34,13 @@ JUDGMENT_SCORE = {
 }
 
 JudgeFn = Callable[[PatientState, DoctorState, RatingLedger], float]
+RateFn = Callable[[PatientState, DoctorState, float], float]
 
 
 def treatment_effectiveness(doctor: DoctorState, cap: float = EFFECTIVENESS_CAP) -> float:
-    raw = (TREATMENT_FACTOR[doctor.credential] + doctor.empathy) * (
+    """Capped (credential factor + empathy + confidence) x (1 - technology
+    constraint).  Only css doctors ever hold a nonzero confidence."""
+    raw = (TREATMENT_FACTOR[doctor.credential] + doctor.empathy + doctor.confidence) * (
         1.0 - doctor.technological_resource_constraint
     )
     return min(cap, raw)
@@ -93,8 +96,7 @@ def choose_doctor(
     Loyalty first: when the patient's last doctor carries their stored
     perfect rating of 5 and is free, that doctor is kept regardless of
     judgment scores.  Otherwise the free doctor with the highest judgment
-    wins, excluding the loyalty-exhausted doctor while alternatives
-    exist.  Score ties break toward the lowest doctor id.
+    wins.  Score ties break toward the lowest doctor id.
     """
     if not needs_doctor(patient, needs_threshold):
         return None
@@ -102,17 +104,12 @@ def choose_doctor(
     if not available:
         return None
     last = patient.last_doctor_id
-    loyal = last is not None and ledger.rating_by_patient(last, patient.patient_id) == PERFECT_RATING
-    if loyal:
-        for doctor in available:
-            if doctor.doctor_id == last:
-                return last
-        candidates = [d for d in available if d.doctor_id != last] or available
-    else:
-        candidates = available
+    if last is not None and ledger.rating_by_patient(last, patient.patient_id) == PERFECT_RATING:
+        if any(doctor.doctor_id == last for doctor in available):
+            return last
     best_id = None
     best_score = float("-inf")
-    for doctor in sorted(candidates, key=lambda d: d.doctor_id):
+    for doctor in sorted(available, key=lambda d: d.doctor_id):
         score = judge(patient, doctor, ledger)
         if score > best_score:
             best_id = doctor.doctor_id
@@ -139,6 +136,19 @@ def rate_doctor(
     return rating
 
 
+def exchange_treatment(
+    patient: PatientState, doctor: DoctorState, ledger: RatingLedger,
+    rate: RateFn, cap: float, perfect_threshold: float,
+) -> float:
+    """Treat, heal, clear the infection, and record and return ``rate``'s rating."""
+    effectiveness = treat_patient(doctor, cap) * (1.0 - patient.resilience)
+    update_health_level(patient, effectiveness)
+    patient.is_infected = False
+    rating = rate(patient, doctor, perfect_threshold)
+    ledger.add_rating(doctor.doctor_id, patient.patient_id, rating)
+    return float(rating)
+
+
 def receive_treatment(
     patient: PatientState,
     doctor: DoctorState,
@@ -146,10 +156,5 @@ def receive_treatment(
     cap: float = EFFECTIVENESS_CAP,
     perfect_threshold: float = PERFECT_RATING_THRESHOLD,
 ) -> float:
-    """Full treatment exchange; returns the rating the patient recorded."""
-    effectiveness = treat_patient(doctor, cap) * (1.0 - patient.resilience)
-    update_health_level(patient, effectiveness)
-    patient.is_infected = False
-    rating = rate_doctor(patient, doctor, perfect_threshold)
-    ledger.add_rating(doctor.doctor_id, patient.patient_id, rating)
-    return float(rating)
+    """Full treatment exchange with the integer rating."""
+    return exchange_treatment(patient, doctor, ledger, rate_doctor, cap, perfect_threshold)

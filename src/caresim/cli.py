@@ -43,45 +43,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# CLI argument -> SimulationConfig field; each argument given overrides it.
+CONFIG_FIELDS = {
+    "doctors": "num_doctors",
+    "patients": "num_patients",
+    "rounds": "num_rounds",
+    "infected": "num_infected_per_round",
+    "repeats": "num_repeats",
+    "seed": "base_seed",
+    "snapshot_every": "snapshot_every",
+    "tournaments_per_round": "tournaments_per_round",
+    "elites": "num_elites",
+    "mutation_chance": "mutation_chance",
+    "crossover_chance": "crossover_chance",
+}
+REQUIRED_WITHOUT_PRESET = ("doctors", "patients", "rounds", "infected")
+
+
 def config_from_args(args: argparse.Namespace) -> SimulationConfig:
     model = ModelKind(args.model)
+    overrides = {
+        name: getattr(args, arg)
+        for arg, name in CONFIG_FIELDS.items()
+        if getattr(args, arg) is not None
+    }
     if args.preset:
-        config = PRESETS[args.preset](model)
+        config = PRESETS[args.preset](model, **overrides)
     else:
-        required = {"doctors": args.doctors, "patients": args.patients, "rounds": args.rounds,
-                    "infected": args.infected}
-        missing = [name for name, value in required.items() if value is None]
+        missing = [f"--{arg}" for arg in REQUIRED_WITHOUT_PRESET if getattr(args, arg) is None]
         if missing:
-            raise ConfigError(
-                "without --preset you must pass " + ", ".join(f"--{m}" for m in missing)
-            )
-        config = SimulationConfig(
-            model=model,
-            num_doctors=args.doctors,
-            num_patients=args.patients,
-            num_rounds=args.rounds,
-            num_infected_per_round=args.infected,
-        )
-    if args.doctors is not None:
-        config.num_doctors = args.doctors
-    if args.patients is not None:
-        config.num_patients = args.patients
-    if args.rounds is not None:
-        config.num_rounds = args.rounds
-    if args.repeats is not None:
-        config.num_repeats = args.repeats
-    if args.infected is not None:
-        config.num_infected_per_round = args.infected
-    if args.tournaments_per_round is not None:
-        config.tournaments_per_round = args.tournaments_per_round
-    if args.elites is not None:
-        config.num_elites = args.elites
-    if args.mutation_chance is not None:
-        config.mutation_chance = args.mutation_chance
-    if args.crossover_chance is not None:
-        config.crossover_chance = args.crossover_chance
-    config.base_seed = args.seed
-    config.snapshot_every = args.snapshot_every
+            raise ConfigError("without --preset you must pass " + ", ".join(missing))
+        config = SimulationConfig(model=model, **overrides)
     config.validate()
     return config
 

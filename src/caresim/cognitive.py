@@ -22,10 +22,9 @@ from .classical import (
     PERFECT_RATING,
     PERFECT_RATING_THRESHOLD,
     TREATMENT_FACTOR,
-    update_health_level,
-    upgrade_credential,
+    exchange_treatment,
 )
-from .ratings import RatingLedger
+from .ratings import RatingLedger, tie_weighted_mean
 
 RATING_TIE_BONUS = 0.1
 
@@ -38,18 +37,12 @@ def round_to_tenth(value: float) -> float:
 def mean_weighted_respects(doctor: DoctorState, all_doctors: list[DoctorState]) -> float:
     """Average respect colleagues hold for this doctor, weighted by the
     doctor's own tie to each colleague; zero when all ties are zero."""
-    weighted = 0.0
-    strengths = 0.0
-    for colleague in all_doctors:
-        if colleague.doctor_id == doctor.doctor_id:
-            continue
-        respect = colleague.respect_for_colleagues.get(doctor.doctor_id, 0.0)
-        strength = doctor.social_ties_doctors.get(colleague.doctor_id, 0.0)
-        weighted += respect * strength
-        strengths += strength
-    if strengths > 0.0:
-        return weighted / strengths
-    return 0.0
+    return tie_weighted_mean(
+        (colleague.respect_for_colleagues.get(doctor.doctor_id, 0.0),
+         doctor.social_ties_doctors.get(colleague.doctor_id, 0.0))
+        for colleague in all_doctors
+        if colleague.doctor_id != doctor.doctor_id
+    )
 
 
 def update_respect_for_colleagues(
@@ -85,24 +78,6 @@ def update_confidence(
     doctor.confidence = doctor.weight_wmrat * ratings_part + doctor.weight_mwres * respects_part
 
 
-def treatment_effectiveness_css(doctor: DoctorState, cap: float = EFFECTIVENESS_CAP) -> float:
-    raw = (TREATMENT_FACTOR[doctor.credential] + doctor.empathy + doctor.confidence) * (
-        1.0 - doctor.technological_resource_constraint
-    )
-    return min(cap, raw)
-
-
-def treat_patient_css(doctor: DoctorState, cap: float = EFFECTIVENESS_CAP) -> float:
-    """Confidence-aware variant of the classical treatment step."""
-    if doctor.is_busy:
-        return 0.0
-    doctor.is_busy = True
-    effectiveness = treatment_effectiveness_css(doctor, cap)
-    doctor.experience += 1
-    upgrade_credential(doctor)
-    return effectiveness
-
-
 def judge_doctor_css(patient: PatientState, doctor: DoctorState, ledger: RatingLedger) -> float:
     """Tie-weighted judgment of a doctor.
 
@@ -113,15 +88,11 @@ def judge_doctor_css(patient: PatientState, doctor: DoctorState, ledger: RatingL
     term is the patient's own stored rating, unweighted.
     """
     s_doc = patient.social_ties_doctors.get(doctor.doctor_id, 0.0)
-    weighted = 0.0
-    strengths = 0.0
-    for rater_id, rating in ledger.ratings_for(doctor.doctor_id).items():
-        if rater_id == patient.patient_id:
-            continue
-        strength = patient.social_ties_patients.get(rater_id, 0.0)
-        weighted += rating * strength
-        strengths += strength
-    peers_part = weighted / strengths if strengths > 0.0 else 0.0
+    peers_part = tie_weighted_mean(
+        (rating, patient.social_ties_patients.get(rater_id, 0.0))
+        for rater_id, rating in ledger.ratings_for(doctor.doctor_id).items()
+        if rater_id != patient.patient_id
+    )
     past = ledger.rating_by_patient(doctor.doctor_id, patient.patient_id)
     return (
         patient.cred_weight * (JUDGMENT_SCORE[doctor.credential] * s_doc)
@@ -150,20 +121,10 @@ def rate_doctor_css(
 def receive_treatment_css(
     patient: PatientState,
     doctor: DoctorState,
-    all_doctors: list[DoctorState],
     ledger: RatingLedger,
     cap: float = EFFECTIVENESS_CAP,
     perfect_threshold: float = PERFECT_RATING_THRESHOLD,
 ) -> float:
-    """Full treatment exchange under tie-modulated perception.
-
-    Effectiveness uses the confidence committed by the pre-round sweep;
-    ``all_doctors`` is accepted for interface parity but not re-read here.
-    """
-    del all_doctors
-    effectiveness = treat_patient_css(doctor, cap) * (1.0 - patient.resilience)
-    update_health_level(patient, effectiveness)
-    patient.is_infected = False
-    rating = rate_doctor_css(patient, doctor, perfect_threshold)
-    ledger.add_rating(doctor.doctor_id, patient.patient_id, rating)
-    return rating
+    """Full treatment exchange with the tie-boosted one-decimal rating;
+    effectiveness uses the confidence committed by the pre-round sweep."""
+    return exchange_treatment(patient, doctor, ledger, rate_doctor_css, cap, perfect_threshold)

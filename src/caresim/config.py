@@ -47,9 +47,6 @@ class SimulationConfig:
     tournaments_per_round: int | None = None
     base_seed: int = 0
     snapshot_every: int = 0
-    # Alternative patient tie mutation: perturb a single random connection
-    # (50% chance) instead of every tie of one class.  Off by default.
-    patient_single_tie_mutation: bool = False
 
     def __post_init__(self):
         self.model = ModelKind(self.model)

@@ -25,7 +25,7 @@ insensitive to any execution ordering.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import classical, cognitive
 from .agents import DoctorState, PatientState, init_doctor, init_patient
@@ -44,24 +44,6 @@ from .evolution import (
 from .infection import InfectionCounter, needs_doctor, priority, spread_infection
 from .ratings import RatingLedger
 from .rng import RngStream, derive_run_seed
-
-# Ordered numeric fields exported per round: ten trait/fitness means and
-# three event counts.
-METRIC_FIELDS = (
-    "doctor_fitness",
-    "patient_fitness",
-    "research_ability",
-    "empathy",
-    "weight_wmrat",
-    "weight_mwres",
-    "cred_weight",
-    "mean_rating_weight",
-    "past_rating_weight",
-    "resilience",
-    "infections_applied",
-    "treatments_performed",
-    "untreated_seekers",
-)
 
 
 @dataclass
@@ -82,6 +64,11 @@ class RoundMetrics:
     infections_applied: int
     treatments_performed: int
     untreated_seekers: int
+
+
+# Ordered numeric fields exported per round: every RoundMetrics field after
+# the three key fields, i.e. ten trait/fitness means and three event counts.
+METRIC_FIELDS = tuple(f.name for f in fields(RoundMetrics))[3:]
 
 
 @dataclass
@@ -157,6 +144,16 @@ def init_run_state(config: SimulationConfig, run_seed: int, run_id: int = 0) -> 
     )
 
 
+def _ga_params(cfg: SimulationConfig, population_size: int) -> GaParams:
+    return GaParams(
+        tournament_size=cfg.tournament_size,
+        num_elites=cfg.num_elites,
+        mutation_chance=cfg.mutation_chance,
+        crossover_chance=cfg.crossover_chance,
+        tournaments_per_round=cfg.tournaments_for(population_size),
+    )
+
+
 def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) -> None:
     """Pre-round css sweep: all respect maps first, then all confidences,
     so every confidence sees the same committed respect values."""
@@ -188,6 +185,7 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     treatments = 0
     untreated = 0
     judge = cognitive.judge_doctor_css if css else classical.judge_doctor
+    treat = cognitive.receive_treatment_css if css else classical.receive_treatment
     for patient in ordered:
         if not needs_doctor(patient, cfg.needs_doctor_threshold):
             continue
@@ -197,45 +195,24 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
         if chosen is None:
             untreated += 1
             continue
-        doctor = doctors_by_id[chosen]
-        if css:
-            cognitive.receive_treatment_css(
-                patient, doctor, state.doctors, state.ledger,
-                cfg.effectiveness_cap, cfg.rating_perfect_threshold,
-            )
-        else:
-            classical.receive_treatment(
-                patient, doctor, state.ledger,
-                cfg.effectiveness_cap, cfg.rating_perfect_threshold,
-            )
+        treat(
+            patient, doctors_by_id[chosen], state.ledger,
+            cfg.effectiveness_cap, cfg.rating_perfect_threshold,
+        )
         treatments += 1
 
-    patient_params = GaParams(
-        tournament_size=cfg.tournament_size,
-        num_elites=cfg.num_elites,
-        mutation_chance=cfg.mutation_chance,
-        crossover_chance=cfg.crossover_chance,
-        tournaments_per_round=cfg.tournaments_for(cfg.num_patients),
-    )
-    doctor_params = GaParams(
-        tournament_size=cfg.tournament_size,
-        num_elites=cfg.num_elites,
-        mutation_chance=cfg.mutation_chance,
-        crossover_chance=cfg.crossover_chance,
-        tournaments_per_round=cfg.tournaments_for(cfg.num_doctors),
-    )
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical
     evolve_population(
         state.patients,
-        patient_params,
+        _ga_params(cfg, cfg.num_patients),
         fitness_patient,
-        lambda p: mutate_patient(p, cfg.model, state.rng, cfg.patient_single_tie_mutation),
+        lambda p: mutate_patient(p, cfg.model, state.rng),
         lambda loser, winner: crossover_patient(loser, winner, state.rng, cfg.model),
         state.rng,
     )
     evolve_population(
         state.doctors,
-        doctor_params,
+        _ga_params(cfg, cfg.num_doctors),
         lambda d: fitness_doctor(d, state.ledger),
         lambda d: mutate_doctor(d, state.ledger, state.rng),
         lambda loser, winner: crossover_doctor(loser, winner, state.rng, cfg.model),

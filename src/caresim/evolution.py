@@ -96,37 +96,24 @@ def mutate_doctor_css(doctor: DoctorState, ledger: RatingLedger, rng: RngStream)
     factor = 1.5 if ledger.recent_feedback(doctor.doctor_id) < LOW_FEEDBACK_CUTOFF else 0.5
     amount = rng.uniform(0.0, MUTATION_AMOUNT_MAX) * factor
     trait_pick = rng.random()
-    if trait_pick < 0.2 and doctor.personal_resource > 0.0:
+    if trait_pick < 0.4 and doctor.personal_resource > 0.0:
+        trait = "research_ability" if trait_pick < 0.2 else "empathy"
         change = amount * rng.sign()
-        if 0.0 <= doctor.research_ability + change <= 1.0:
+        value = getattr(doctor, trait)
+        if 0.0 <= value + change <= 1.0:
             actual = min(abs(change), doctor.personal_resource)
-            doctor.research_ability += actual if change > 0 else -actual
+            setattr(doctor, trait, value + (actual if change > 0 else -actual))
             doctor.personal_resource -= actual
-    elif trait_pick < 0.4 and doctor.personal_resource > 0.0:
-        change = amount * rng.sign()
-        if 0.0 <= doctor.empathy + change <= 1.0:
-            actual = min(abs(change), doctor.personal_resource)
-            doctor.empathy += actual if change > 0 else -actual
-            doctor.personal_resource -= actual
-    elif trait_pick < 0.6:
-        change = amount * rng.sign()
-        doctor.weight_wmrat = max(0.0, min(1.0, doctor.weight_wmrat + change))
     elif trait_pick < 0.8:
+        trait = "weight_wmrat" if trait_pick < 0.6 else "weight_mwres"
         change = amount * rng.sign()
-        doctor.weight_mwres = max(0.0, min(1.0, doctor.weight_mwres + change))
+        setattr(doctor, trait, max(0.0, min(1.0, getattr(doctor, trait) + change)))
     else:
-        if rng.random() < 0.5 and doctor.social_ties_doctors:
-            key = rng.choice(list(doctor.social_ties_doctors.keys()))
-            change = amount * rng.sign()
-            doctor.social_ties_doctors[key] = max(
-                0.0, min(1.0, doctor.social_ties_doctors[key] + change)
-            )
-        elif doctor.social_ties_patients:
-            key = rng.choice(list(doctor.social_ties_patients.keys()))
-            change = amount * rng.sign()
-            doctor.social_ties_patients[key] = max(
-                0.0, min(1.0, doctor.social_ties_patients[key] + change)
-            )
+        pick_doctors = rng.random() < 0.5 and doctor.social_ties_doctors
+        ties = doctor.social_ties_doctors if pick_doctors else doctor.social_ties_patients
+        if ties:
+            key = rng.choice(list(ties.keys()))
+            ties[key] = max(0.0, min(1.0, ties[key] + amount * rng.sign()))
     doctor.personal_resource = max(0.0, doctor.personal_resource)
 
 
@@ -147,18 +134,12 @@ def _renormalize_weights(patient: PatientState) -> None:
         patient.past_rating_weight = 1 / 3
 
 
-def mutate_patient(
-    patient: PatientState,
-    model: ModelKind,
-    rng: RngStream,
-    single_tie_variant: bool = False,
-) -> None:
+def mutate_patient(patient: PatientState, model: ModelKind, rng: RngStream) -> None:
     """Shift the judgment weights along a sum-preserving direction, jitter
     resilience, and (css only) perturb social ties.
 
-    The default tie mutation picks one class (doctors or patients, 50/50)
-    and perturbs every tie in it independently; the single-tie variant
-    instead touches one random connection with 50% chance.
+    The tie mutation picks one class (doctors or patients, 50/50) and
+    perturbs every tie in it independently.
     """
     delta = rng.uniform(-MUTATION_AMOUNT_MAX, MUTATION_AMOUNT_MAX)
     patient.cred_weight += delta
@@ -168,21 +149,6 @@ def mutate_patient(
     patient.resilience = max(0.1, min(0.4, patient.resilience + resilience_change))
     _renormalize_weights(patient)
     if model is not ModelKind.CSS:
-        return
-    if single_tie_variant:
-        if rng.random() < 0.5:
-            if rng.random() < 0.5 and patient.social_ties_doctors:
-                key = rng.choice(list(patient.social_ties_doctors.keys()))
-                patient.social_ties_doctors[key] = max(
-                    0.0,
-                    min(1.0, patient.social_ties_doctors[key] + rng.uniform(-TIE_MUTATION_RANGE, TIE_MUTATION_RANGE)),
-                )
-            elif patient.social_ties_patients:
-                key = rng.choice(list(patient.social_ties_patients.keys()))
-                patient.social_ties_patients[key] = max(
-                    0.0,
-                    min(1.0, patient.social_ties_patients[key] + rng.uniform(-TIE_MUTATION_RANGE, TIE_MUTATION_RANGE)),
-                )
         return
     if rng.random() < 0.5:
         ties = patient.social_ties_doctors

@@ -1,8 +1,8 @@
 """Rating store shared by all doctors and patients in a run.
 
-Holds the latest rating each patient gave each doctor, plus an
-append-only arrival log that defines recency.  Re-rating a doctor
-overwrites that patient's entry in the map but still appends to the log.
+Holds the latest rating each patient gave each doctor, plus each
+doctor's most recently arrived rating, which defines recency.
+Re-rating a doctor overwrites that patient's entry in the map.
 """
 
 from __future__ import annotations
@@ -20,17 +20,26 @@ NEUTRAL_FEEDBACK = 3.0
 _EMPTY: dict[int, float] = {}
 
 
+def tie_weighted_mean(pairs) -> float:
+    """Mean of ``value`` weighted by ``strength`` over ``(value, strength)``
+    pairs, summed in iteration order; zero when the strengths sum to zero."""
+    weighted = 0.0
+    strengths = 0.0
+    for value, strength in pairs:
+        weighted += value * strength
+        strengths += strength
+    return weighted / strengths if strengths > 0.0 else 0.0
+
+
 class RatingLedger:
     def __init__(self):
         self._by_doctor: dict[int, dict[int, float]] = {}
-        self._log: list[tuple[int, int, float]] = []
         self._last: dict[int, float] = {}
 
     def add_rating(self, doctor_id: int, patient_id: int, rating: float) -> None:
         if not RATING_MIN <= rating <= RATING_MAX:
             raise ValueError(f"rating {rating} outside [{RATING_MIN}, {RATING_MAX}]")
         self._by_doctor.setdefault(doctor_id, {})[patient_id] = rating
-        self._log.append((doctor_id, patient_id, rating))
         self._last[doctor_id] = rating
 
     def mean_rating(self, doctor_id: int) -> float:
@@ -43,28 +52,16 @@ class RatingLedger:
         return self._by_doctor.get(doctor_id, _EMPTY).get(patient_id)
 
     def recent_feedback(self, doctor_id: int) -> float:
-        """Most recently logged rating for the doctor, neutral 3 if none."""
+        """Most recently arrived rating for the doctor, neutral 3 if none."""
         return self._last.get(doctor_id, NEUTRAL_FEEDBACK)
 
     def mean_weighted_ratings(self, doctor_id: int, ties: dict[int, float]) -> float:
-        """Tie-weighted mean of the doctor's current ratings.
-
-        Only raters with a positive tie strength contribute; zero when the
-        doctor is unrated or every rater's tie is zero.
-        """
-        current = self._by_doctor.get(doctor_id)
-        if not current:
-            return 0.0
-        weighted = 0.0
-        strengths = 0.0
-        for patient_id, rating in current.items():
-            strength = ties.get(patient_id, 0.0)
-            if strength > 0.0:
-                weighted += rating * strength
-                strengths += strength
-        if strengths > 0.0:
-            return weighted / strengths
-        return 0.0
+        """Tie-weighted mean of the doctor's current ratings; zero when the
+        doctor is unrated or every rater's tie is zero."""
+        return tie_weighted_mean(
+            (rating, ties.get(patient_id, 0.0))
+            for patient_id, rating in self._by_doctor.get(doctor_id, _EMPTY).items()
+        )
 
     def weighted_valuation(self, doctor_id: int, ties: dict[int, float]) -> float:
         """Unnormalized sum of the doctor's ratings weighted by the evaluator's ties."""
@@ -76,7 +73,3 @@ class RatingLedger:
     def ratings_for(self, doctor_id: int):
         """Read-only view of the doctor's current per-patient ratings."""
         return MappingProxyType(self._by_doctor.get(doctor_id, _EMPTY))
-
-    @property
-    def log(self) -> tuple[tuple[int, int, float], ...]:
-        return tuple(self._log)

@@ -77,7 +77,6 @@ def check_doctor_invariants(doctor: DoctorState) -> None:
     assert 0.0 <= doctor.weight_wmrat <= 1.0
     assert 0.0 <= doctor.weight_mwres <= 1.0
     assert doctor.personal_resource >= 0.0
-    assert doctor.personal_resource_constraint == 0.8
     assert doctor.experience >= 0
     assert doctor.confidence >= 0.0
     assert isinstance(doctor.credential, Credential)

@@ -211,10 +211,9 @@ def _example_cognitive_care():
 
     boosted = make_doctor(credential=Credential.MEDIUM, empathy=0.3,
                           technological_resource_constraint=0.5, confidence=3.0)
-    assert cog.treatment_effectiveness_css(boosted) == pytest.approx(0.7, abs=1e-9)
+    assert cl.treatment_effectiveness(boosted) == pytest.approx(0.7, abs=1e-9)
     calm = make_doctor(confidence=0.0)
-    assert cog.treatment_effectiveness_css(calm) == pytest.approx(
-        cl.treatment_effectiveness(calm), abs=1e-12)
+    assert cl.treatment_effectiveness(calm) == pytest.approx(0.49, abs=1e-12)
 
     judge = make_patient(1, social_ties_doctors={0: 0.5},
                          social_ties_patients={2: 0.5, 3: 0.5})
@@ -330,11 +329,15 @@ def _elite_slot(population, fitness):
                                                       population[i].agent_id))
 
 
+def _credential_rank(doctor):
+    return list(Credential).index(doctor.credential)
+
+
 def _check_world(doctors, patients, credential_ranks):
     for doctor in doctors:
         check_doctor_invariants(doctor)
-        assert doctor.credential.rank >= credential_ranks[doctor.doctor_id]
-        credential_ranks[doctor.doctor_id] = doctor.credential.rank
+        assert _credential_rank(doctor) >= credential_ranks[doctor.doctor_id]
+        credential_ranks[doctor.doctor_id] = _credential_rank(doctor)
     for patient in patients:
         check_patient_invariants(patient)
 
@@ -347,7 +350,7 @@ def _evolve_battery(model, steps, seed):
     state = init_run_state(cfg, seed)
     for patient in state.patients:
         patient.health_history.append(rng.uniform(0.1, 1.0))
-    ranks = {d.doctor_id: d.credential.rank for d in state.doctors}
+    ranks = {d.doctor_id: _credential_rank(d) for d in state.doctors}
     params = evo.GaParams(tournament_size=4, num_elites=1, mutation_chance=0.6,
                           crossover_chance=0.6, tournaments_per_round=2)
     css = model is ModelKind.CSS
@@ -379,7 +382,7 @@ def _round_battery(model, rounds, seed):
     for index in range(rounds):
         if index % 50 == 0:
             state = init_run_state(cfg, derive_run_seed(seed, index))
-            ranks = {d.doctor_id: d.credential.rank for d in state.doctors}
+            ranks = {d.doctor_id: _credential_rank(d) for d in state.doctors}
         metrics = run_round(state, index % 50 + 1)
         assert metrics.treatments_performed <= cfg.num_doctors
         _check_world(state.doctors, state.patients, ranks)

@@ -27,7 +27,6 @@ def test_doctor_draw_ranges():
         assert 0.2 <= doctor.empathy <= 0.7
         assert 0.2 <= doctor.technological_resource_constraint <= 0.5
         assert doctor.personal_resource == pytest.approx(0.2)
-        assert doctor.personal_resource_constraint == 0.8
         assert doctor.experience == 0
         assert not doctor.is_busy
         assert doctor.credential in (Credential.LOW, Credential.MEDIUM, Credential.HIGH)

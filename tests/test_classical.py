@@ -65,12 +65,13 @@ def test_credential_monotone_under_treatments(seed):
         credential=rng.choice(list(Credential)),
         research_ability=rng.uniform(0, 1),
     )
-    rank = doctor.credential.rank
+    order = list(Credential)
+    rank = order.index(doctor.credential)
     for _ in range(120):
         doctor.is_busy = False
         treat_patient(doctor)
-        assert doctor.credential.rank >= rank
-        rank = doctor.credential.rank
+        assert order.index(doctor.credential) >= rank
+        rank = order.index(doctor.credential)
 
 
 def test_treat_busy_doctor_is_noop():

@@ -9,7 +9,6 @@ from caresim.cognitive import (
     rate_doctor_css,
     receive_treatment_css,
     round_to_tenth,
-    treatment_effectiveness_css,
     update_confidence,
     update_respect_for_colleagues,
 )
@@ -94,12 +93,13 @@ def test_update_confidence_projection():
 
 
 def test_effectiveness_css_hand_cases():
+    # Zero confidence leaves the classical value (0.2 + 0.5) x (1 - 0.3).
     calm = make_doctor(confidence=0.0)
-    assert treatment_effectiveness_css(calm) == pytest.approx(treatment_effectiveness(calm), abs=1e-12)
+    assert treatment_effectiveness(calm) == pytest.approx(0.49, abs=1e-12)
 
     boosted = make_doctor(credential=Credential.MEDIUM, empathy=0.3,
                           technological_resource_constraint=0.5, confidence=3.0)
-    assert treatment_effectiveness_css(boosted) == pytest.approx(0.7, abs=1e-9)
+    assert treatment_effectiveness(boosted) == pytest.approx(0.7, abs=1e-9)
 
 
 @given(
@@ -111,7 +111,7 @@ def test_effectiveness_css_hand_cases():
 def test_effectiveness_css_always_capped(credential, empathy, trc, confidence):
     doctor = make_doctor(credential=credential, empathy=empathy,
                          technological_resource_constraint=trc, confidence=confidence)
-    assert 0.0 <= treatment_effectiveness_css(doctor) <= 0.7
+    assert 0.0 <= treatment_effectiveness(doctor) <= 0.7
 
 
 def test_judge_css_all_ties_zero_leaves_past_term():
@@ -186,7 +186,7 @@ def test_receive_treatment_css_records_and_returns_rating():
     )
     patient.infected_order = 0
     ledger = RatingLedger()
-    rating = receive_treatment_css(patient, doctor, [doctor], ledger)
+    rating = receive_treatment_css(patient, doctor, ledger)
     assert patient.health_level == pytest.approx(0.8, abs=1e-9)
     assert rating == 5.0
     assert ledger.rating_by_patient(3, 1) == 5.0
@@ -207,9 +207,8 @@ def test_zero_ties_reduce_css_to_classical():
     update_respect_for_colleagues(peer, [peer, doctor], ledger)
     update_confidence(doctor, ledger, [doctor, peer])
     assert doctor.confidence == 0.0
-    assert treatment_effectiveness_css(doctor) == pytest.approx(
-        treatment_effectiveness(doctor), abs=1e-12
-    )
+    # (0.2 + 0.45 + 0.0) x (1 - 0.35), the classical value.
+    assert treatment_effectiveness(doctor) == pytest.approx(0.4225, abs=1e-12)
     for health in (0.15, 0.43, 0.79, 0.8, 1.0):
         css_patient = make_patient(1, health_level=health)
         classical_patient = make_patient(1, health_level=health)

@@ -129,6 +129,13 @@ def test_invariants_hold_after_full_run():
         result = run_simulation(small_config(model), 31)
         for doctor in result.doctors:
             check_doctor_invariants(doctor)
+            if model == "classical":
+                # The shared effectiveness formula adds confidence, so a
+                # classical doctor must never hold any.
+                assert doctor.confidence == 0.0
+                assert doctor.social_ties_doctors == {}
+                assert doctor.social_ties_patients == {}
+                assert doctor.respect_for_colleagues == {}
         for patient in result.patients:
             check_patient_invariants(patient)
 

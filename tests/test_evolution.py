@@ -234,17 +234,6 @@ def test_mutate_patient_css_perturbs_every_tie_of_one_class():
     assert patient.social_ties_patients == {2: 0.5, 3: 0.5}
 
 
-def test_mutate_patient_single_tie_variant_touches_at_most_one():
-    patient = make_patient(
-        social_ties_doctors={0: 0.5, 1: 0.5},
-        social_ties_patients={2: 0.5},
-    )
-    stub = StubRng(uniform=[0.01, 0.0, 0.08], random=[0.2, 0.2], choice_index=[1])
-    mutate_patient(patient, ModelKind.CSS, stub, single_tie_variant=True)
-    assert patient.social_ties_doctors == pytest.approx({0: 0.5, 1: 0.58})
-    assert patient.social_ties_patients == {2: 0.5}
-
-
 @settings(max_examples=80)
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(list(ModelKind)))
 def test_mutate_patient_preserves_invariants(seed, model):

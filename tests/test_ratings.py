@@ -11,24 +11,19 @@ def ledger_with(*entries):
     return ledger
 
 
-def replay_log_latest(ledger):
-    """Oracle for overwrite semantics: fold the arrival log."""
-    latest = {}
-    for doctor, patient, rating in ledger.log:
-        latest[(doctor, patient)] = rating
-    return latest
-
-
 def test_single_entry_mean():
     ledger = ledger_with((1, 1, 5))
     assert ledger.mean_rating(1) == 5
 
 
-def test_rerating_overwrites_but_log_keeps_history():
-    ledger = ledger_with((1, 1, 2), (1, 1, 4))
+def test_rerating_overwrites_and_recent_feedback_follows_arrival():
+    ledger = ledger_with((1, 1, 2), (1, 2, 1), (1, 1, 4))
     assert ledger.rating_by_patient(1, 1) == 4
-    assert len(ledger.log) == 2
-    assert replay_log_latest(ledger)[(1, 1)] == ledger.rating_by_patient(1, 1)
+    assert ledger.ratings_for(1) == {1: 4, 2: 1}
+    assert ledger.mean_rating(1) == pytest.approx(2.5, abs=1e-12)
+    assert ledger.recent_feedback(1) == 4
+    ledger.add_rating(1, 2, 3)
+    assert ledger.recent_feedback(1) == 3
 
 
 def test_out_of_range_ratings_rejected():
