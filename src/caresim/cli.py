@@ -102,11 +102,15 @@ def main(argv: list[str] | None = None) -> int:
                 export_network_snapshot(snapshot, out_dir / name)
         final = batch.aggregates[-1] if batch.aggregates else None
         if final is not None:
+            last_active = max(run.last_active_round for run in batch.runs)
+            latent = sum(run.latent_infected(config.needs_doctor_threshold) for run in batch.runs)
             print(
                 f"{config.model.value}: {config.num_repeats} run(s) x "
                 f"{config.num_rounds} rounds -> doctor fitness "
                 f"{final.mean['doctor_fitness']:.3f}, patient fitness "
-                f"{final.mean['patient_fitness']:.3f} (metrics: {out_dir / 'metrics.csv'})"
+                f"{final.mean['patient_fitness']:.3f}, last active round {last_active}, "
+                f"latent infected {latent}/{config.num_repeats * config.num_patients} "
+                f"(metrics: {out_dir / 'metrics.csv'})"
             )
         else:
             print(f"{config.model.value}: 0 rounds, header-only metrics written")

@@ -8,7 +8,10 @@ through their own tie strengths.  Ratings here are one-decimal reals.
 The engine refreshes respect and confidence once per round for every
 doctor before any treatment: first all respect maps are recomputed, then
 all confidences, so every confidence reads the same round's committed
-respect values.
+respect values.  A respect valuation (colleague ratings weighted by the
+doctor's patient ties) is reused from the run's rating ledger until the
+colleague is re-rated or the doctor's patient ties change; the tie to the
+colleague and the credential score are applied afresh every round.
 """
 
 from __future__ import annotations
@@ -54,17 +57,20 @@ def update_respect_for_colleagues(
 
     Respect = own tie to the colleague x (colleague's treatment-factor
     credential score + the colleague's ratings weighted by own ties to
-    the rating patients).  Reads no respect values, so a sweep over all
-    doctors is order-independent.
+    the rating patients).  The valuation part comes from the ledger's
+    cache and is recomputed only for colleagues rated since, or for every
+    colleague once this doctor's patient ties changed.  Reads no respect
+    values, so a sweep over all doctors is order-independent.
     """
-    for colleague in all_doctors:
-        if colleague.doctor_id == doctor.doctor_id:
-            continue
-        valuation = ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
+    colleagues = [c for c in all_doctors if c.doctor_id != doctor.doctor_id]
+    valuations = ledger.cached_valuations(
+        doctor.doctor_id, [c.doctor_id for c in colleagues], doctor.social_ties_patients
+    )
+    for colleague in colleagues:
         credential_score = TREATMENT_FACTOR[colleague.credential]
         strength = doctor.social_ties_doctors.get(colleague.doctor_id, 0.0)
         doctor.respect_for_colleagues[colleague.doctor_id] = strength * (
-            credential_score + valuation
+            credential_score + valuations[colleague.doctor_id]
         )
 
 

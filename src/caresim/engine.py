@@ -3,7 +3,10 @@
 One round (mini-generation) executes, in order:
 
 1. css only: recompute every doctor's respect map, then every doctor's
-   confidence (two passes over ascending doctor ids).
+   confidence (two passes over ascending doctor ids).  Each respect
+   valuation (a colleague's ratings weighted by the doctor's patient
+   ties) is reused from the run's rating ledger until that colleague is
+   re-rated or the doctor's patient ties change.
 2. Spread the configured number of infections among eligible patients.
 3. Reset all busy flags.
 4. Sort patients by triage priority (ties by ascending patient id) and
@@ -41,7 +44,9 @@ from .evolution import (
     mutate_doctor_css,
     mutate_patient,
 )
-from .infection import InfectionCounter, needs_doctor, priority, spread_infection
+from .infection import (
+    NEEDS_DOCTOR_THRESHOLD, InfectionCounter, needs_doctor, priority, spread_infection,
+)
 from .ratings import RatingLedger
 from .rng import RngStream, derive_run_seed
 
@@ -103,6 +108,18 @@ class RunResult:
     doctors: list[DoctorState]
     patients: list[PatientState]
     snapshots: list[NetworkSnapshot] = field(default_factory=list)
+
+    @property
+    def last_active_round(self) -> int:
+        """Last round in which any treatment happened; 0 if none did."""
+        return max((m.round_index for m in self.metrics if m.treatments_performed > 0), default=0)
+
+    def latent_infected(self, threshold: float = NEEDS_DOCTOR_THRESHOLD) -> int:
+        """Patients ending the run infected but healthy enough never to seek
+        care (at or above ``threshold``): only a treatment clears an
+        infection and only uninfected patients can be infected, so this
+        state is absorbing."""
+        return sum(1 for p in self.patients if p.is_infected and not needs_doctor(p, threshold))
 
 
 @dataclass

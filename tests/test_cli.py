@@ -1,3 +1,5 @@
+import pytest
+
 from caresim.cli import main
 
 
@@ -81,3 +83,13 @@ def test_repeated_invocations_are_byte_identical(tmp_path, capsys):
         assert main(["--preset", "paper-single", "--seed", "123", "--out", str(out)]) == 0
     capsys.readouterr()
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model, drain", [
+    ("classical", "last active round 10, latent infected 100/100"),
+    ("css", "last active round 5, latent infected 100/100"),
+])
+def test_summary_reports_care_drain(tmp_path, capsys, model, drain):
+    argv = ["--preset", "paper-single", "--model", model, "--seed", "123", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert drain in capsys.readouterr().out

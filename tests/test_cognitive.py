@@ -1,8 +1,12 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caresim import Credential, RatingLedger
-from caresim.classical import judge_doctor, rate_doctor, treatment_effectiveness
+from caresim import (
+    Credential, ModelKind, RatingLedger, SimulationConfig, engine, init_run_state, run_round,
+)
+from caresim.classical import TREATMENT_FACTOR, judge_doctor, rate_doctor, treatment_effectiveness
 from caresim.cognitive import (
     judge_doctor_css,
     mean_weighted_respects,
@@ -12,7 +16,8 @@ from caresim.cognitive import (
     update_confidence,
     update_respect_for_colleagues,
 )
-from support import make_doctor, make_patient
+from caresim.evolution import crossover_doctor
+from support import StubRng, make_doctor, make_patient
 
 
 def trio():
@@ -243,3 +248,151 @@ def test_respect_nonnegative_and_zero_when_untied():
     colleague = make_doctor(1, credential=Credential.HIGH)
     update_respect_for_colleagues(evaluator, [evaluator, colleague], ledger)
     assert evaluator.respect_for_colleagues[1] == 0.0
+
+
+# The respect sweep reuses valuations cached in the ledger; these tests
+# compare every respect value, exactly, against a direct recomputation.
+
+def assert_respect_fresh(doctors, ledger):
+    for doctor in doctors:
+        for colleague in doctors:
+            if colleague.doctor_id == doctor.doctor_id:
+                continue
+            strength = doctor.social_ties_doctors.get(colleague.doctor_id, 0.0)
+            valuation = ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
+            expected = strength * (TREATMENT_FACTOR[colleague.credential] + valuation)
+            assert doctor.respect_for_colleagues[colleague.doctor_id] == expected
+
+
+def rated_clinic():
+    """Three doctors tied to four patients; every doctor rated by two of them."""
+    doctors = [
+        make_doctor(
+            i,
+            credential=credential,
+            social_ties_doctors={j: 0.3 + 0.2 * j for j in range(3) if j != i},
+            social_ties_patients={p: 0.1 + 0.15 * ((p + i) % 4) for p in range(4)},
+        )
+        for i, credential in enumerate((Credential.LOW, Credential.MEDIUM, Credential.HIGH))
+    ]
+    ledger = RatingLedger()
+    for doctor_id, raters in ((0, (0, 1)), (1, (1, 2)), (2, (2, 3))):
+        for patient_id in raters:
+            ledger.add_rating(doctor_id, patient_id, 2.5 + patient_id * 0.5)
+    engine.refresh_social_perception(doctors, ledger)
+    return doctors, ledger
+
+
+@pytest.fixture
+def valuation_calls(monkeypatch):
+    """Doctor ids passed to RatingLedger.weighted_valuation, in call order."""
+    calls = []
+    original = RatingLedger.weighted_valuation
+
+    def counted(ledger, doctor_id, ties):
+        calls.append(doctor_id)
+        return original(ledger, doctor_id, ties)
+
+    monkeypatch.setattr(RatingLedger, "weighted_valuation", counted)
+    return calls
+
+
+def test_respect_matches_direct_valuation_every_round(monkeypatch):
+    config = SimulationConfig(
+        model=ModelKind.CSS, num_doctors=6, num_patients=30, num_rounds=12,
+        num_infected_per_round=12, mutation_chance=0.6, crossover_chance=0.6,
+        tournaments_per_round=3, base_seed=11,
+    )
+    state = init_run_state(config, run_seed=11)
+    original = engine.refresh_social_perception
+    refreshes = []
+
+    def checked(doctors, ledger):
+        original(doctors, ledger)
+        assert_respect_fresh(doctors, ledger)
+        refreshes.append(len(doctors))
+
+    monkeypatch.setattr(engine, "refresh_social_perception", checked)
+    treatments = sum(run_round(state, r).treatments_performed for r in range(1, 13))
+    assert refreshes == [6] * 12
+    assert treatments > 0
+
+
+def test_respect_follows_new_rater_and_changed_rerating():
+    doctors, ledger = rated_clinic()
+    ledger.add_rating(1, 3, 0.5)
+    engine.refresh_social_perception(doctors, ledger)
+    assert_respect_fresh(doctors, ledger)
+    ledger.add_rating(1, 2, 4.5)
+    engine.refresh_social_perception(doctors, ledger)
+    assert_respect_fresh(doctors, ledger)
+
+
+def test_rerating_with_same_value_revalues_the_column(valuation_calls):
+    doctors, ledger = rated_clinic()
+    before = [dict(d.respect_for_colleagues) for d in doctors]
+    valuation_calls.clear()
+    ledger.add_rating(1, 2, ledger.rating_by_patient(1, 2))
+    engine.refresh_social_perception(doctors, ledger)
+    assert valuation_calls == [1, 1]
+    assert [d.respect_for_colleagues for d in doctors] == before
+    assert_respect_fresh(doctors, ledger)
+
+
+def test_respect_follows_in_place_tie_edit():
+    doctors, ledger = rated_clinic()
+    doctors[0].social_ties_patients[2] = 0.95
+    engine.refresh_social_perception(doctors, ledger)
+    assert_respect_fresh(doctors, ledger)
+
+
+def test_respect_follows_tie_map_replacement():
+    doctors, ledger = rated_clinic()
+    doctors[2].social_ties_patients = {p: 1.0 - 0.2 * p for p in range(4)}
+    engine.refresh_social_perception(doctors, ledger)
+    assert_respect_fresh(doctors, ledger)
+
+
+def test_respect_follows_crossover():
+    doctors, ledger = rated_clinic()
+    crossover_doctor(doctors[1], doctors[2], StubRng(chance=[True]), ModelKind.CSS)
+    engine.refresh_social_perception(doctors, ledger)
+    assert_respect_fresh(doctors, ledger)
+
+
+def test_respect_follows_elite_style_object_swap():
+    doctors, ledger = rated_clinic()
+    elite = copy.deepcopy(doctors[0])
+    doctors[0].social_ties_patients[1] = 0.0
+    engine.refresh_social_perception(doctors, ledger)
+    assert_respect_fresh(doctors, ledger)
+    doctors[0] = elite
+    engine.refresh_social_perception(doctors, ledger)
+    assert_respect_fresh(doctors, ledger)
+
+
+def test_unchanged_inputs_reuse_every_valuation(valuation_calls):
+    doctors, ledger = rated_clinic()
+    valuation_calls.clear()
+    engine.refresh_social_perception(doctors, ledger)
+    assert valuation_calls == []
+
+
+def test_new_rating_revalues_only_that_column(valuation_calls):
+    doctors = [
+        make_doctor(i, social_ties_doctors={j: 0.5 for j in range(5) if j != i},
+                    social_ties_patients={p: 0.1 * (p + i) for p in range(6)})
+        for i in range(5)
+    ]
+    ledger = RatingLedger()
+    for doctor_id in range(5):
+        ledger.add_rating(doctor_id, doctor_id, 4.0)
+    engine.refresh_social_perception(doctors, ledger)
+    assert len(valuation_calls) == 5 * 4
+    valuation_calls.clear()
+    engine.refresh_social_perception(doctors, ledger)
+    assert valuation_calls == []
+    ledger.add_rating(3, 5, 1.5)
+    engine.refresh_social_perception(doctors, ledger)
+    assert valuation_calls == [3] * 4
+    assert_respect_fresh(doctors, ledger)

@@ -94,6 +94,19 @@ def test_run_simulation_zero_rounds():
     assert result.metrics == []
     assert len(result.doctors) == 6
     assert len(result.patients) == 20
+    assert result.last_active_round == 0
+    assert result.latent_infected() == 0
+
+
+@pytest.mark.parametrize("model, last_active", [("classical", 10), ("css", 5)])
+def test_paper_single_care_drains_into_latent_infection(model, last_active):
+    # Pins the absorbing state: after the last treatment every patient is
+    # infected yet at or above the care threshold, so nobody seeks care again.
+    config = preset_single_run(model, base_seed=123)
+    run = run_batch(config).runs[0]
+    assert run.last_active_round == last_active
+    assert all(m.treatments_performed == 0 for m in run.metrics[last_active:])
+    assert run.latent_infected(config.needs_doctor_threshold) == 100 == config.num_patients
 
 
 def test_run_is_deterministic():
