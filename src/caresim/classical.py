@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .agents import Credential, DoctorState, PatientState
-from .infection import NEEDS_DOCTOR_THRESHOLD, needs_doctor
+from .infection import needs_doctor
 from .ratings import RatingLedger
 
 EFFECTIVENESS_CAP = 0.7
@@ -34,16 +34,16 @@ JUDGMENT_SCORE = {
 }
 
 JudgeFn = Callable[[PatientState, DoctorState, RatingLedger], float]
-RateFn = Callable[[PatientState, DoctorState, float], float]
+RateFn = Callable[[PatientState, DoctorState], float]
 
 
-def treatment_effectiveness(doctor: DoctorState, cap: float = EFFECTIVENESS_CAP) -> float:
+def treatment_effectiveness(doctor: DoctorState) -> float:
     """Capped (credential factor + empathy + confidence) x (1 - technology
     constraint).  Only css doctors ever hold a nonzero confidence."""
     raw = (TREATMENT_FACTOR[doctor.credential] + doctor.empathy + doctor.confidence) * (
         1.0 - doctor.technological_resource_constraint
     )
-    return min(cap, raw)
+    return min(EFFECTIVENESS_CAP, raw)
 
 
 def upgrade_credential(doctor: DoctorState) -> None:
@@ -62,14 +62,14 @@ def upgrade_credential(doctor: DoctorState) -> None:
         doctor.credential = Credential.HIGH
 
 
-def treat_patient(doctor: DoctorState, cap: float = EFFECTIVENESS_CAP) -> float:
+def treat_patient(doctor: DoctorState) -> float:
     """Deliver one treatment: marks the doctor busy for the rest of the
     round, gains experience, and may upgrade the credential.  A busy
     doctor treats nobody and returns zero effectiveness."""
     if doctor.is_busy:
         return 0.0
     doctor.is_busy = True
-    effectiveness = treatment_effectiveness(doctor, cap)
+    effectiveness = treatment_effectiveness(doctor)
     doctor.experience += 1
     upgrade_credential(doctor)
     return effectiveness
@@ -89,7 +89,6 @@ def choose_doctor(
     doctors: list[DoctorState],
     ledger: RatingLedger,
     judge: JudgeFn = judge_doctor,
-    needs_threshold: float = NEEDS_DOCTOR_THRESHOLD,
 ) -> int | None:
     """Pick a doctor id for a patient who needs care, or None.
 
@@ -98,7 +97,7 @@ def choose_doctor(
     judgment scores.  Otherwise the free doctor with the highest judgment
     wins.  Score ties break toward the lowest doctor id.
     """
-    if not needs_doctor(patient, needs_threshold):
+    if not needs_doctor(patient):
         return None
     available = [d for d in doctors if not d.is_busy]
     if not available:
@@ -122,39 +121,28 @@ def update_health_level(patient: PatientState, effectiveness: float) -> None:
     patient.health_history.append(patient.health_level)
 
 
-def rate_doctor(
-    patient: PatientState,
-    doctor: DoctorState,
-    perfect_threshold: float = PERFECT_RATING_THRESHOLD,
-) -> int:
+def rate_doctor(patient: PatientState, doctor: DoctorState) -> int:
     """Integer rating 0..5 from post-treatment health; remembers the doctor."""
-    if patient.health_level >= perfect_threshold:
+    if patient.health_level >= PERFECT_RATING_THRESHOLD:
         rating = PERFECT_RATING
     else:
-        rating = max(0, int(PERFECT_RATING * patient.health_level / perfect_threshold))
+        rating = max(0, int(PERFECT_RATING * patient.health_level / PERFECT_RATING_THRESHOLD))
     patient.last_doctor_id = doctor.doctor_id
     return rating
 
 
 def exchange_treatment(
-    patient: PatientState, doctor: DoctorState, ledger: RatingLedger,
-    rate: RateFn, cap: float, perfect_threshold: float,
+    patient: PatientState, doctor: DoctorState, ledger: RatingLedger, rate: RateFn
 ) -> float:
     """Treat, heal, clear the infection, and record and return ``rate``'s rating."""
-    effectiveness = treat_patient(doctor, cap) * (1.0 - patient.resilience)
+    effectiveness = treat_patient(doctor) * (1.0 - patient.resilience)
     update_health_level(patient, effectiveness)
     patient.is_infected = False
-    rating = rate(patient, doctor, perfect_threshold)
+    rating = rate(patient, doctor)
     ledger.add_rating(doctor.doctor_id, patient.patient_id, rating)
     return float(rating)
 
 
-def receive_treatment(
-    patient: PatientState,
-    doctor: DoctorState,
-    ledger: RatingLedger,
-    cap: float = EFFECTIVENESS_CAP,
-    perfect_threshold: float = PERFECT_RATING_THRESHOLD,
-) -> float:
+def receive_treatment(patient: PatientState, doctor: DoctorState, ledger: RatingLedger) -> float:
     """Full treatment exchange with the integer rating."""
-    return exchange_treatment(patient, doctor, ledger, rate_doctor, cap, perfect_threshold)
+    return exchange_treatment(patient, doctor, ledger, rate_doctor)

@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         final = batch.aggregates[-1] if batch.aggregates else None
         if final is not None:
             last_active = max(run.last_active_round for run in batch.runs)
-            latent = sum(run.latent_infected(config.needs_doctor_threshold) for run in batch.runs)
+            latent = sum(run.latent_infected for run in batch.runs)
             print(
                 f"{config.model.value}: {config.num_repeats} run(s) x "
                 f"{config.num_rounds} rounds -> doctor fitness "

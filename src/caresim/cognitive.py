@@ -5,13 +5,11 @@ at face value: colleague respect feeds doctor confidence, confidence
 feeds treatment effectiveness, and patients judge and rate doctors
 through their own tie strengths.  Ratings here are one-decimal reals.
 
-The engine refreshes respect and confidence once per round for every
-doctor before any treatment: first all respect maps are recomputed, then
-all confidences, so every confidence reads the same round's committed
-respect values.  A respect valuation (colleague ratings weighted by the
-doctor's patient ties) is reused from the run's rating ledger until the
-colleague is re-rated or the doctor's patient ties change; the tie to the
-colleague and the credential score are applied afresh every round.
+Confidence is read only by treatment effectiveness, so the engine
+refreshes respect and confidence for every doctor only in rounds where
+some patient seeks care, before the first treatment: first all respect
+maps are recomputed, then all confidences, so every confidence reads the
+same round's committed respect values.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import math
 
 from .agents import DoctorState, PatientState
 from .classical import (
-    EFFECTIVENESS_CAP,
     JUDGMENT_SCORE,
     PERFECT_RATING,
     PERFECT_RATING_THRESHOLD,
@@ -57,20 +54,17 @@ def update_respect_for_colleagues(
 
     Respect = own tie to the colleague x (colleague's treatment-factor
     credential score + the colleague's ratings weighted by own ties to
-    the rating patients).  The valuation part comes from the ledger's
-    cache and is recomputed only for colleagues rated since, or for every
-    colleague once this doctor's patient ties changed.  Reads no respect
-    values, so a sweep over all doctors is order-independent.
+    the rating patients).  Reads no respect values, so a sweep over all
+    doctors is order-independent.
     """
-    colleagues = [c for c in all_doctors if c.doctor_id != doctor.doctor_id]
-    valuations = ledger.cached_valuations(
-        doctor.doctor_id, [c.doctor_id for c in colleagues], doctor.social_ties_patients
-    )
-    for colleague in colleagues:
+    for colleague in all_doctors:
+        if colleague.doctor_id == doctor.doctor_id:
+            continue
+        valuation = ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
         credential_score = TREATMENT_FACTOR[colleague.credential]
         strength = doctor.social_ties_doctors.get(colleague.doctor_id, 0.0)
         doctor.respect_for_colleagues[colleague.doctor_id] = strength * (
-            credential_score + valuations[colleague.doctor_id]
+            credential_score + valuation
         )
 
 
@@ -107,16 +101,12 @@ def judge_doctor_css(patient: PatientState, doctor: DoctorState, ledger: RatingL
     )
 
 
-def rate_doctor_css(
-    patient: PatientState,
-    doctor: DoctorState,
-    perfect_threshold: float = PERFECT_RATING_THRESHOLD,
-) -> float:
+def rate_doctor_css(patient: PatientState, doctor: DoctorState) -> float:
     """One-decimal rating boosted by the patient's tie to the doctor, capped at 5."""
-    if patient.health_level >= perfect_threshold:
+    if patient.health_level >= PERFECT_RATING_THRESHOLD:
         base = float(PERFECT_RATING)
     else:
-        base = max(0.0, PERFECT_RATING * patient.health_level / perfect_threshold)
+        base = max(0.0, PERFECT_RATING * patient.health_level / PERFECT_RATING_THRESHOLD)
     strength = patient.social_ties_doctors.get(doctor.doctor_id, 0.0)
     adjusted = base * (1.0 + RATING_TIE_BONUS * strength)
     rating = min(float(PERFECT_RATING), round_to_tenth(adjusted))
@@ -125,12 +115,8 @@ def rate_doctor_css(
 
 
 def receive_treatment_css(
-    patient: PatientState,
-    doctor: DoctorState,
-    ledger: RatingLedger,
-    cap: float = EFFECTIVENESS_CAP,
-    perfect_threshold: float = PERFECT_RATING_THRESHOLD,
+    patient: PatientState, doctor: DoctorState, ledger: RatingLedger
 ) -> float:
     """Full treatment exchange with the tie-boosted one-decimal rating;
-    effectiveness uses the confidence committed by the pre-round sweep."""
-    return exchange_treatment(patient, doctor, ledger, rate_doctor_css, cap, perfect_threshold)
+    effectiveness uses the confidence committed by the round's sweep."""
+    return exchange_treatment(patient, doctor, ledger, rate_doctor_css)

@@ -36,10 +36,6 @@ class SimulationConfig:
     num_rounds: int
     num_infected_per_round: int
     num_repeats: int = 1
-    infection_severity: float = 0.2
-    needs_doctor_threshold: float = 0.6
-    rating_perfect_threshold: float = 0.8
-    effectiveness_cap: float = 0.7
     mutation_chance: float | None = None
     crossover_chance: float | None = None
     tournament_size: int = 5
@@ -68,7 +64,13 @@ class SimulationConfig:
             "num_rounds": self.num_rounds,
             "num_infected_per_round": self.num_infected_per_round,
             "num_repeats": self.num_repeats,
+            "tournament_size": self.tournament_size,
+            "num_elites": self.num_elites,
+            "base_seed": self.base_seed,
+            "snapshot_every": self.snapshot_every,
         }
+        if self.tournaments_per_round is not None:
+            counts["tournaments_per_round"] = self.tournaments_per_round
         for name, value in counts.items():
             if not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")

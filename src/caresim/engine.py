@@ -2,18 +2,19 @@
 
 One round (mini-generation) executes, in order:
 
-1. css only: recompute every doctor's respect map, then every doctor's
-   confidence (two passes over ascending doctor ids).  Each respect
-   valuation (a colleague's ratings weighted by the doctor's patient
-   ties) is reused from the run's rating ledger until that colleague is
-   re-rated or the doctor's patient ties change.
-2. Spread the configured number of infections among eligible patients.
-3. Reset all busy flags.
-4. Sort patients by triage priority (ties by ascending patient id) and
-   let each patient below the care threshold pick a free doctor and be
-   treated; seekers who find nobody free are counted as untreated.
-5. Evolve the patient population, then the doctor population.
-6. Compute the round's population metrics.
+1. Spread the configured number of infections among eligible patients.
+2. Reset all busy flags.
+3. Sort the patients below the care threshold (the seekers) by triage
+   priority, ties by ascending patient id.
+4. css only, and only when there is a seeker: recompute every doctor's
+   respect map, then every doctor's confidence (two passes over
+   ascending doctor ids).  Confidence is read only by a treatment, and
+   infection changes none of the sweep's inputs, so skipping the sweep
+   in rounds without a seeker changes no output.
+5. Let each seeker in triage order pick a free doctor and be treated;
+   seekers who find nobody free are counted as untreated.
+6. Evolve the patient population, then the doctor population.
+7. Compute the round's population metrics.
 
 Health history records post-treatment levels only (the treatment step
 appends them), so patient fitness reads as the mean quality of received
@@ -44,9 +45,7 @@ from .evolution import (
     mutate_doctor_css,
     mutate_patient,
 )
-from .infection import (
-    NEEDS_DOCTOR_THRESHOLD, InfectionCounter, needs_doctor, priority, spread_infection,
-)
+from .infection import InfectionCounter, needs_doctor, priority, spread_infection
 from .ratings import RatingLedger
 from .rng import RngStream, derive_run_seed
 
@@ -114,12 +113,12 @@ class RunResult:
         """Last round in which any treatment happened; 0 if none did."""
         return max((m.round_index for m in self.metrics if m.treatments_performed > 0), default=0)
 
-    def latent_infected(self, threshold: float = NEEDS_DOCTOR_THRESHOLD) -> int:
+    @property
+    def latent_infected(self) -> int:
         """Patients ending the run infected but healthy enough never to seek
-        care (at or above ``threshold``): only a treatment clears an
-        infection and only uninfected patients can be infected, so this
-        state is absorbing."""
-        return sum(1 for p in self.patients if p.is_infected and not needs_doctor(p, threshold))
+        care: only a treatment clears an infection and only uninfected
+        patients can be infected, so this state is absorbing."""
+        return sum(1 for p in self.patients if p.is_infected and not needs_doctor(p))
 
 
 @dataclass
@@ -172,8 +171,9 @@ def _ga_params(cfg: SimulationConfig, population_size: int) -> GaParams:
 
 
 def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) -> None:
-    """Pre-round css sweep: all respect maps first, then all confidences,
-    so every confidence sees the same committed respect values."""
+    """css sweep before a round's first treatment: all respect maps first,
+    then all confidences, so every confidence sees the same committed
+    respect values."""
     for doctor in doctors:
         cognitive.update_respect_for_colleagues(doctor, doctors, ledger)
     for doctor in doctors:
@@ -183,39 +183,33 @@ def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) 
 def run_round(state: RunState, round_index: int) -> RoundMetrics:
     cfg = state.config
     css = cfg.model is ModelKind.CSS
-    if css:
-        refresh_social_perception(state.doctors, state.ledger)
-
     infections = spread_infection(
-        state.patients,
-        cfg.num_infected_per_round,
-        state.counter,
-        state.rng,
-        cfg.infection_severity,
+        state.patients, cfg.num_infected_per_round, state.counter, state.rng
     )
 
     for doctor in state.doctors:
         doctor.is_busy = False
 
+    # A treatment changes only its own patient, so who seeks care this
+    # round is settled before the first treatment.
+    seekers = sorted(
+        (p for p in state.patients if needs_doctor(p)),
+        key=lambda p: (*priority(p), p.patient_id),
+    )
+    if css and seekers:
+        refresh_social_perception(state.doctors, state.ledger)
+
     doctors_by_id = {d.doctor_id: d for d in state.doctors}
-    ordered = sorted(state.patients, key=lambda p: (*priority(p), p.patient_id))
     treatments = 0
     untreated = 0
     judge = cognitive.judge_doctor_css if css else classical.judge_doctor
     treat = cognitive.receive_treatment_css if css else classical.receive_treatment
-    for patient in ordered:
-        if not needs_doctor(patient, cfg.needs_doctor_threshold):
-            continue
-        chosen = classical.choose_doctor(
-            patient, state.doctors, state.ledger, judge, cfg.needs_doctor_threshold
-        )
+    for patient in seekers:
+        chosen = classical.choose_doctor(patient, state.doctors, state.ledger, judge)
         if chosen is None:
             untreated += 1
             continue
-        treat(
-            patient, doctors_by_id[chosen], state.ledger,
-            cfg.effectiveness_cap, cfg.rating_perfect_threshold,
-        )
+        treat(patient, doctors_by_id[chosen], state.ledger)
         treatments += 1
 
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical

@@ -27,11 +27,11 @@ class InfectionCounter:
         return order
 
 
-def infect(patient: PatientState, order: int, severity: float = INFECTION_SEVERITY) -> bool:
+def infect(patient: PatientState, order: int) -> bool:
     """Apply one infection if the patient is eligible; returns whether it landed."""
     if patient.is_infected or patient.health_level <= INFECTION_ELIGIBLE_ABOVE:
         return False
-    patient.health_level = max(0.0, patient.health_level - severity)
+    patient.health_level = max(0.0, patient.health_level - INFECTION_SEVERITY)
     patient.is_infected = True
     patient.infected_order = order
     return True
@@ -42,7 +42,6 @@ def spread_infection(
     n: int,
     counter: InfectionCounter,
     rng: RngStream,
-    severity: float = INFECTION_SEVERITY,
 ) -> int:
     """Infect up to ``n`` distinct eligible patients, sampled uniformly.
 
@@ -57,7 +56,7 @@ def spread_infection(
     ]
     chosen = rng.sample(eligible, min(n, len(eligible)))
     for patient in chosen:
-        infect(patient, counter.take(), severity)
+        infect(patient, counter.take())
     return len(chosen)
 
 
@@ -69,5 +68,5 @@ def priority(patient: PatientState) -> tuple[bool, float, float]:
     return (True, float("inf"), patient.health_level)
 
 
-def needs_doctor(patient: PatientState, threshold: float = NEEDS_DOCTOR_THRESHOLD) -> bool:
-    return patient.health_level < threshold
+def needs_doctor(patient: PatientState) -> bool:
+    return patient.health_level < NEEDS_DOCTOR_THRESHOLD

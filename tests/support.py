@@ -108,11 +108,10 @@ def exhaustive_choose(
     doctors: list[DoctorState],
     ledger: RatingLedger,
     judge,
-    needs_threshold: float = NEEDS_DOCTOR_THRESHOLD,
 ) -> int | None:
     """Brute-force reference for choose_doctor: score every candidate, pick
     the max by (judgment, lowest id), honoring the loyalty rule first."""
-    if patient.health_level >= needs_threshold:
+    if patient.health_level >= NEEDS_DOCTOR_THRESHOLD:
         return None
     free = [d for d in doctors if not d.is_busy]
     if not free:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caresim import (
-    Credential, ModelKind, RatingLedger, SimulationConfig, engine, init_run_state, run_round,
+    Credential, ModelKind, RatingLedger, SimulationConfig, cognitive, engine, init_run_state,
+    run_round,
 )
 from caresim.classical import TREATMENT_FACTOR, judge_doctor, rate_doctor, treatment_effectiveness
 from caresim.cognitive import (
@@ -250,8 +251,10 @@ def test_respect_nonnegative_and_zero_when_untied():
     assert evaluator.respect_for_colleagues[1] == 0.0
 
 
-# The respect sweep reuses valuations cached in the ledger; these tests
-# compare every respect value, exactly, against a direct recomputation.
+# A sweep recomputes every respect value from the current ratings, ties
+# and credentials, however those changed since the last sweep (new
+# ratings, tie edits, GA variation, an elite restore); these tests compare
+# every respect value, exactly, against a direct recomputation.
 
 def assert_respect_fresh(doctors, ledger):
     for doctor in doctors:
@@ -283,39 +286,57 @@ def rated_clinic():
     return doctors, ledger
 
 
-@pytest.fixture
-def valuation_calls(monkeypatch):
-    """Doctor ids passed to RatingLedger.weighted_valuation, in call order."""
-    calls = []
-    original = RatingLedger.weighted_valuation
-
-    def counted(ledger, doctor_id, ties):
-        calls.append(doctor_id)
-        return original(ledger, doctor_id, ties)
-
-    monkeypatch.setattr(RatingLedger, "weighted_valuation", counted)
-    return calls
-
-
-def test_respect_matches_direct_valuation_every_round(monkeypatch):
+def busy_css_state():
+    """A 6-doctor css run whose GA varies ties often; 4 of 12 rounds have a seeker."""
     config = SimulationConfig(
         model=ModelKind.CSS, num_doctors=6, num_patients=30, num_rounds=12,
         num_infected_per_round=12, mutation_chance=0.6, crossover_chance=0.6,
         tournaments_per_round=3, base_seed=11,
     )
-    state = init_run_state(config, run_seed=11)
+    return init_run_state(config, run_seed=11)
+
+
+def test_respect_matches_direct_valuation_every_round(monkeypatch):
+    state = busy_css_state()
     original = engine.refresh_social_perception
-    refreshes = []
+    refreshed = []
 
     def checked(doctors, ledger):
         original(doctors, ledger)
         assert_respect_fresh(doctors, ledger)
-        refreshes.append(len(doctors))
+        refreshed.append(round_index)
 
     monkeypatch.setattr(engine, "refresh_social_perception", checked)
-    treatments = sum(run_round(state, r).treatments_performed for r in range(1, 13))
-    assert refreshes == [6] * 12
-    assert treatments > 0
+    with_seeker = []
+    for round_index in range(1, 13):
+        metrics = run_round(state, round_index)
+        if metrics.treatments_performed + metrics.untreated_seekers > 0:
+            with_seeker.append(round_index)
+    assert refreshed == with_seeker
+    assert len(with_seeker) == 4
+
+
+def test_treating_doctor_holds_fresh_confidence(monkeypatch):
+    # A doctor treats at most once per round, and another doctor's treatment
+    # changes only that doctor's ratings and credential, which this doctor's
+    # confidence does not read; so a refresh at the moment of any treatment
+    # must give the confidence the round's sweep committed.
+    state = busy_css_state()
+    original = cognitive.receive_treatment_css
+    treated = []
+
+    def checked(patient, doctor, ledger):
+        doctors, fresh_ledger = copy.deepcopy((state.doctors, ledger))
+        engine.refresh_social_perception(doctors, fresh_ledger)
+        fresh = next(d for d in doctors if d.doctor_id == doctor.doctor_id)
+        assert doctor.confidence == fresh.confidence
+        treated.append(doctor.doctor_id)
+        return original(patient, doctor, ledger)
+
+    monkeypatch.setattr(cognitive, "receive_treatment_css", checked)
+    for round_index in range(1, 13):
+        run_round(state, round_index)
+    assert len(treated) > 6
 
 
 def test_respect_follows_new_rater_and_changed_rerating():
@@ -325,17 +346,6 @@ def test_respect_follows_new_rater_and_changed_rerating():
     assert_respect_fresh(doctors, ledger)
     ledger.add_rating(1, 2, 4.5)
     engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
-
-
-def test_rerating_with_same_value_revalues_the_column(valuation_calls):
-    doctors, ledger = rated_clinic()
-    before = [dict(d.respect_for_colleagues) for d in doctors]
-    valuation_calls.clear()
-    ledger.add_rating(1, 2, ledger.rating_by_patient(1, 2))
-    engine.refresh_social_perception(doctors, ledger)
-    assert valuation_calls == [1, 1]
-    assert [d.respect_for_colleagues for d in doctors] == before
     assert_respect_fresh(doctors, ledger)
 
 
@@ -368,31 +378,4 @@ def test_respect_follows_elite_style_object_swap():
     assert_respect_fresh(doctors, ledger)
     doctors[0] = elite
     engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
-
-
-def test_unchanged_inputs_reuse_every_valuation(valuation_calls):
-    doctors, ledger = rated_clinic()
-    valuation_calls.clear()
-    engine.refresh_social_perception(doctors, ledger)
-    assert valuation_calls == []
-
-
-def test_new_rating_revalues_only_that_column(valuation_calls):
-    doctors = [
-        make_doctor(i, social_ties_doctors={j: 0.5 for j in range(5) if j != i},
-                    social_ties_patients={p: 0.1 * (p + i) for p in range(6)})
-        for i in range(5)
-    ]
-    ledger = RatingLedger()
-    for doctor_id in range(5):
-        ledger.add_rating(doctor_id, doctor_id, 4.0)
-    engine.refresh_social_perception(doctors, ledger)
-    assert len(valuation_calls) == 5 * 4
-    valuation_calls.clear()
-    engine.refresh_social_perception(doctors, ledger)
-    assert valuation_calls == []
-    ledger.add_rating(3, 5, 1.5)
-    engine.refresh_social_perception(doctors, ledger)
-    assert valuation_calls == [3] * 4
     assert_respect_fresh(doctors, ledger)

@@ -41,6 +41,15 @@ def test_invalid_configs_rejected():
         small_config(snapshot_every=2).validate()  # classical cannot snapshot
     with pytest.raises(ConfigError):
         run_simulation(small_config(num_rounds=-1), 1)
+    for field, value in (
+        ("tournament_size", 2.5),
+        ("num_elites", 0.5),
+        ("tournaments_per_round", 1.5),
+        ("base_seed", 1.5),
+        ("snapshot_every", 2.5),
+    ):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            small_config("css", **{field: value}).validate()
 
 
 def test_default_chances_follow_model():
@@ -95,7 +104,7 @@ def test_run_simulation_zero_rounds():
     assert len(result.doctors) == 6
     assert len(result.patients) == 20
     assert result.last_active_round == 0
-    assert result.latent_infected() == 0
+    assert result.latent_infected == 0
 
 
 @pytest.mark.parametrize("model, last_active", [("classical", 10), ("css", 5)])
@@ -106,7 +115,7 @@ def test_paper_single_care_drains_into_latent_infection(model, last_active):
     run = run_batch(config).runs[0]
     assert run.last_active_round == last_active
     assert all(m.treatments_performed == 0 for m in run.metrics[last_active:])
-    assert run.latent_infected(config.needs_doctor_threshold) == 100 == config.num_patients
+    assert run.latent_infected == 100 == config.num_patients
 
 
 def test_run_is_deterministic():
