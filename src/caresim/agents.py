@@ -4,7 +4,10 @@ Doctors and patients are plain mutable dataclasses.  Social ties are
 directed: each agent holds its own strength maps toward peers, and A's
 tie to B is drawn independently of B's tie to A.  Classical-model agents
 simply carry empty tie maps; every tie-weighted aggregation then reads
-as zero.
+as zero, and the shared GA operators find no tie to perturb or average.
+Their doctors also keep both confidence weights at 0.5 for the whole
+run (only css mutation moves them), so averaging two of them in
+crossover changes nothing.
 
 Initialization draw order (one :class:`~caresim.rng.RngStream` per run):
 

@@ -72,8 +72,12 @@ class SimulationConfig:
         if self.tournaments_per_round is not None:
             counts["tournaments_per_round"] = self.tournaments_per_round
         for name, value in counts.items():
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("mutation_chance", "crossover_chance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.num_doctors <= 0 or self.num_patients <= 0:
             raise ConfigError("population sizes must be positive")
         if self.num_rounds < 0:

@@ -35,7 +35,6 @@ from . import classical, cognitive
 from .agents import DoctorState, PatientState, init_doctor, init_patient
 from .config import ModelKind, SimulationConfig
 from .evolution import (
-    GaParams,
     crossover_doctor,
     crossover_patient,
     evolve_population,
@@ -52,9 +51,7 @@ from .rng import RngStream, derive_run_seed
 
 @dataclass
 class RoundMetrics:
-    run_id: int
     round_index: int
-    model: ModelKind
     doctor_fitness: float
     patient_fitness: float
     research_ability: float
@@ -71,8 +68,8 @@ class RoundMetrics:
 
 
 # Ordered numeric fields exported per round: every RoundMetrics field after
-# the three key fields, i.e. ten trait/fitness means and three event counts.
-METRIC_FIELDS = tuple(f.name for f in fields(RoundMetrics))[3:]
+# round_index, i.e. ten trait/fitness means and three event counts.
+METRIC_FIELDS = tuple(f.name for f in fields(RoundMetrics))[1:]
 
 
 @dataclass
@@ -92,7 +89,6 @@ class NetworkSnapshot:
 @dataclass
 class RunState:
     config: SimulationConfig
-    run_id: int
     rng: RngStream
     doctors: list[DoctorState]
     patients: list[PatientState]
@@ -136,7 +132,7 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def init_run_state(config: SimulationConfig, run_seed: int, run_id: int = 0) -> RunState:
+def init_run_state(config: SimulationConfig, run_seed: int) -> RunState:
     config.validate()
     rng = RngStream(run_seed)
     doctor_ids = list(range(config.num_doctors))
@@ -151,22 +147,11 @@ def init_run_state(config: SimulationConfig, run_seed: int, run_id: int = 0) -> 
     ]
     return RunState(
         config=config,
-        run_id=run_id,
         rng=rng,
         doctors=doctors,
         patients=patients,
         ledger=RatingLedger(),
         counter=InfectionCounter(),
-    )
-
-
-def _ga_params(cfg: SimulationConfig, population_size: int) -> GaParams:
-    return GaParams(
-        tournament_size=cfg.tournament_size,
-        num_elites=cfg.num_elites,
-        mutation_chance=cfg.mutation_chance,
-        crossover_chance=cfg.crossover_chance,
-        tournaments_per_round=cfg.tournaments_for(population_size),
     )
 
 
@@ -215,25 +200,23 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical
     evolve_population(
         state.patients,
-        _ga_params(cfg, cfg.num_patients),
+        cfg,
         fitness_patient,
-        lambda p: mutate_patient(p, cfg.model, state.rng),
-        lambda loser, winner: crossover_patient(loser, winner, state.rng, cfg.model),
+        lambda p: mutate_patient(p, state.rng),
+        lambda loser, winner: crossover_patient(loser, winner, state.rng),
         state.rng,
     )
     evolve_population(
         state.doctors,
-        _ga_params(cfg, cfg.num_doctors),
+        cfg,
         lambda d: fitness_doctor(d, state.ledger),
         lambda d: mutate_doctor(d, state.ledger, state.rng),
-        lambda loser, winner: crossover_doctor(loser, winner, state.rng, cfg.model),
+        lambda loser, winner: crossover_doctor(loser, winner, state.rng),
         state.rng,
     )
 
     return RoundMetrics(
-        run_id=state.run_id,
         round_index=round_index,
-        model=cfg.model,
         doctor_fitness=_mean(fitness_doctor(d, state.ledger) for d in state.doctors),
         patient_fitness=_mean(fitness_patient(p) for p in state.patients),
         research_ability=_mean(d.research_ability for d in state.doctors),
@@ -271,16 +254,12 @@ def capture_snapshot(state: RunState, round_index: int) -> NetworkSnapshot:
 
 def run_simulation(config: SimulationConfig, run_seed: int, run_id: int = 0) -> RunResult:
     """Initialize populations from the seed and execute all rounds."""
-    state = init_run_state(config, run_seed, run_id)
+    state = init_run_state(config, run_seed)
     metrics: list[RoundMetrics] = []
     snapshots: list[NetworkSnapshot] = []
     for round_index in range(1, config.num_rounds + 1):
         metrics.append(run_round(state, round_index))
-        if (
-            config.model is ModelKind.CSS
-            and config.snapshot_every > 0
-            and round_index % config.snapshot_every == 0
-        ):
+        if config.snapshot_every > 0 and round_index % config.snapshot_every == 0:
             snapshots.append(capture_snapshot(state, round_index))
     return RunResult(
         run_id=run_id,
@@ -293,7 +272,6 @@ def run_simulation(config: SimulationConfig, run_seed: int, run_id: int = 0) -> 
 
 @dataclass
 class BatchResult:
-    config: SimulationConfig
     runs: list[RunResult]
     aggregates: list[RoundAggregate]
 
@@ -325,6 +303,5 @@ def run_batch(config: SimulationConfig) -> BatchResult:
         run_simulation(config, derive_run_seed(config.base_seed, repeat), run_id=repeat)
         for repeat in range(config.num_repeats)
     ]
-    runs.sort(key=lambda r: r.run_id)
     aggregates = aggregate_rounds([run.metrics for run in runs], config.model)
-    return BatchResult(config=config, runs=runs, aggregates=aggregates)
+    return BatchResult(runs=runs, aggregates=aggregates)

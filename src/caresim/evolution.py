@@ -1,5 +1,5 @@
-"""Microbial genetic algorithm with tournaments, elitism, and
-model-specific mutation and crossover.
+"""Microbial genetic algorithm with tournaments, elitism, mutation and
+crossover, run the same way for both models.
 
 Steady-state style: each event samples a tournament, the fittest member
 wins, the least fit loses, and only the loser is (maybe) crossed toward
@@ -11,16 +11,23 @@ Draw order per event: tournament sample (k draws), crossover-chance
 uniform, then mutation-chance uniform.  The chance uniforms are drawn
 unconditionally so a run's draw sequence does not depend on the chance
 values themselves.
+
+Only doctor mutation differs between the models (``mutate_doctor_classical``
+and ``mutate_doctor_css``).  Patient mutation and both crossovers are
+shared, and their css-only parts change nothing for classical agents: a
+classical agent holds no ties, so the patient tie step (skipped with its
+draw) and the tie averaging have nothing to touch, and a classical
+doctor's confidence weights stay at their initial 0.5, because only
+``mutate_doctor_css`` moves them, so averaging two of them gives 0.5.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Callable
 
 from .agents import DoctorState, PatientState
-from .config import ModelKind
+from .config import SimulationConfig
 from .ratings import RatingLedger
 from .rng import RngStream
 
@@ -28,15 +35,6 @@ MUTATION_AMOUNT_MAX = 0.05
 TIE_MUTATION_RANGE = 0.1
 LOW_FEEDBACK_CUTOFF = 3.0
 CROSSOVER_INNER_CHANCE = 0.5
-
-
-@dataclass
-class GaParams:
-    tournament_size: int = 5
-    num_elites: int = 1
-    mutation_chance: float = 0.5
-    crossover_chance: float = 0.3
-    tournaments_per_round: int = 1
 
 
 def fitness_doctor(doctor: DoctorState, ledger: RatingLedger) -> float:
@@ -134,12 +132,13 @@ def _renormalize_weights(patient: PatientState) -> None:
         patient.past_rating_weight = 1 / 3
 
 
-def mutate_patient(patient: PatientState, model: ModelKind, rng: RngStream) -> None:
+def mutate_patient(patient: PatientState, rng: RngStream) -> None:
     """Shift the judgment weights along a sum-preserving direction, jitter
-    resilience, and (css only) perturb social ties.
+    resilience, and perturb social ties.
 
     The tie mutation picks one class (doctors or patients, 50/50) and
-    perturbs every tie in it independently.
+    perturbs every tie in it independently.  A patient without ties (every
+    classical patient) skips it and its draw.
     """
     delta = rng.uniform(-MUTATION_AMOUNT_MAX, MUTATION_AMOUNT_MAX)
     patient.cred_weight += delta
@@ -148,7 +147,7 @@ def mutate_patient(patient: PatientState, model: ModelKind, rng: RngStream) -> N
     resilience_change = rng.uniform(-MUTATION_AMOUNT_MAX, MUTATION_AMOUNT_MAX)
     patient.resilience = max(0.1, min(0.4, patient.resilience + resilience_change))
     _renormalize_weights(patient)
-    if model is not ModelKind.CSS:
+    if not (patient.social_ties_doctors or patient.social_ties_patients):
         return
     if rng.random() < 0.5:
         ties = patient.social_ties_doctors
@@ -164,12 +163,7 @@ def _average_shared_ties(loser_ties: dict[int, float], winner_ties: dict[int, fl
             loser_ties[key] = (loser_ties[key] + winner_ties[key]) / 2.0
 
 
-def crossover_doctor(
-    loser: DoctorState,
-    winner: DoctorState,
-    rng: RngStream,
-    model: ModelKind,
-) -> None:
+def crossover_doctor(loser: DoctorState, winner: DoctorState, rng: RngStream) -> None:
     """With inner 50% chance, pull the loser's traits to the parents' means.
 
     Only the loser changes.  Tie keys the winner lacks stay untouched.
@@ -178,21 +172,15 @@ def crossover_doctor(
         return
     loser.research_ability = (loser.research_ability + winner.research_ability) / 2.0
     loser.empathy = (loser.empathy + winner.empathy) / 2.0
-    if model is ModelKind.CSS:
-        loser.weight_wmrat = (loser.weight_wmrat + winner.weight_wmrat) / 2.0
-        loser.weight_mwres = (loser.weight_mwres + winner.weight_mwres) / 2.0
-        _average_shared_ties(loser.social_ties_doctors, winner.social_ties_doctors)
-        _average_shared_ties(loser.social_ties_patients, winner.social_ties_patients)
+    loser.weight_wmrat = (loser.weight_wmrat + winner.weight_wmrat) / 2.0
+    loser.weight_mwres = (loser.weight_mwres + winner.weight_mwres) / 2.0
+    _average_shared_ties(loser.social_ties_doctors, winner.social_ties_doctors)
+    _average_shared_ties(loser.social_ties_patients, winner.social_ties_patients)
 
 
-def crossover_patient(
-    loser: PatientState,
-    winner: PatientState,
-    rng: RngStream,
-    model: ModelKind,
-) -> None:
+def crossover_patient(loser: PatientState, winner: PatientState, rng: RngStream) -> None:
     """With inner 50% chance, average resilience, judgment weights, and
-    (css only) shared tie keys into the loser."""
+    shared tie keys into the loser."""
     if not rng.chance(CROSSOVER_INNER_CHANCE):
         return
     loser.resilience = (loser.resilience + winner.resilience) / 2.0
@@ -200,14 +188,13 @@ def crossover_patient(
     loser.mean_rating_weight = (loser.mean_rating_weight + winner.mean_rating_weight) / 2.0
     loser.past_rating_weight = (loser.past_rating_weight + winner.past_rating_weight) / 2.0
     _renormalize_weights(loser)
-    if model is ModelKind.CSS:
-        _average_shared_ties(loser.social_ties_doctors, winner.social_ties_doctors)
-        _average_shared_ties(loser.social_ties_patients, winner.social_ties_patients)
+    _average_shared_ties(loser.social_ties_doctors, winner.social_ties_doctors)
+    _average_shared_ties(loser.social_ties_patients, winner.social_ties_patients)
 
 
 def evolve_population(
     population: list,
-    params: GaParams,
+    cfg: SimulationConfig,
     fitness: Callable,
     mutate: Callable,
     crossover: Callable,
@@ -215,20 +202,22 @@ def evolve_population(
 ) -> None:
     """Run one generation step of tournament events over the population.
 
-    ``crossover(loser, winner)`` and ``mutate(loser)`` are invoked behind
-    their configured chances; the pre-step top ``num_elites`` individuals
-    (fitness ties by ascending id) are restored verbatim at the end.
+    ``cfg`` supplies the tournament size, elite count, chances and
+    ``cfg.tournaments_for(len(population))`` events.  ``crossover(loser,
+    winner)`` and ``mutate(loser)`` are invoked behind their chances; the
+    pre-step top ``num_elites`` individuals (fitness ties by ascending id)
+    are restored verbatim at the end.
     """
     ranked = sorted(
         range(len(population)),
         key=lambda i: (-fitness(population[i]), population[i].agent_id),
     )
-    snapshots = [(i, copy.deepcopy(population[i])) for i in ranked[: params.num_elites]]
-    for _ in range(params.tournaments_per_round):
-        winner, loser = tournament_select(population, params.tournament_size, fitness, rng)
-        if rng.chance(params.crossover_chance):
+    snapshots = [(i, copy.deepcopy(population[i])) for i in ranked[: cfg.num_elites]]
+    for _ in range(cfg.tournaments_for(len(population))):
+        winner, loser = tournament_select(population, cfg.tournament_size, fitness, rng)
+        if rng.chance(cfg.crossover_chance):
             crossover(loser, winner)
-        if rng.chance(params.mutation_chance):
+        if rng.chance(cfg.mutation_chance):
             mutate(loser)
     for slot, snapshot in snapshots:
         population[slot] = snapshot

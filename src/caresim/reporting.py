@@ -38,7 +38,7 @@ def snapshot_to_document(snapshot: NetworkSnapshot) -> dict:
         "round": snapshot.round_index,
         "nodes": [{"id": node_id, "kind": kind} for node_id, kind in snapshot.nodes],
         "edges": [
-            {"source": src, "target": dst, "strength": round(strength, 6)}
+            {"source": src, "target": dst, "strength": strength}
             for src, dst, strength in snapshot.edges
         ],
     }

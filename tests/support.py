@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from caresim import Credential, DoctorState, PatientState, RatingLedger
+from caresim import Credential, DoctorState, PatientState, RatingLedger, SimulationConfig
 from caresim.classical import PERFECT_RATING
 from caresim.infection import NEEDS_DOCTOR_THRESHOLD
 
@@ -69,6 +69,20 @@ def make_patient(patient_id=0, **overrides) -> PatientState:
     for name, value in overrides.items():
         setattr(patient, name, value)
     return patient
+
+
+def ga_config(**overrides) -> SimulationConfig:
+    """A classical config for calling ``evolve_population`` directly; only
+    its GA fields matter there."""
+    base = dict(
+        model="classical",
+        num_doctors=10,
+        num_patients=10,
+        num_rounds=1,
+        num_infected_per_round=0,
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
 
 
 def check_doctor_invariants(doctor: DoctorState) -> None:

@@ -6,6 +6,7 @@ few minutes; everything else is fast.
 """
 
 import copy
+import dataclasses
 import time
 
 import pytest
@@ -35,6 +36,7 @@ from support import (
     check_doctor_invariants,
     check_patient_invariants,
     exhaustive_choose,
+    ga_config,
     make_doctor,
     make_patient,
 )
@@ -270,19 +272,19 @@ def _example_evolution():
     assert rejected.research_ability == 0.99
 
     weighted = make_patient(cred_weight=0.2, mean_rating_weight=0.3, past_rating_weight=0.5)
-    evo.mutate_patient(weighted, ModelKind.CLASSICAL, StubRng(uniform=[0.03, 0.0]))
+    evo.mutate_patient(weighted, StubRng(uniform=[0.03, 0.0]))
     total = weighted.cred_weight + weighted.mean_rating_weight + weighted.past_rating_weight
     assert abs(total - 1.0) <= 1e-9
 
     loser = make_doctor(0, research_ability=0.2, social_ties_doctors={2: 0.5})
     winner = make_doctor(1, research_ability=0.6, social_ties_doctors={9: 0.9})
-    evo.crossover_doctor(loser, winner, StubRng(chance=[True]), ModelKind.CSS)
+    evo.crossover_doctor(loser, winner, StubRng(chance=[True]))
     assert loser.research_ability == pytest.approx(0.4, abs=1e-12)
     assert loser.social_ties_doctors[2] == 0.5
 
     pat_loser = make_patient(0, cred_weight=0.2, mean_rating_weight=0.3, past_rating_weight=0.5)
     pat_winner = make_patient(1, cred_weight=0.4, mean_rating_weight=0.1, past_rating_weight=0.5)
-    evo.crossover_patient(pat_loser, pat_winner, StubRng(chance=[True]), ModelKind.CLASSICAL)
+    evo.crossover_patient(pat_loser, pat_winner, StubRng(chance=[True]))
     assert (pat_loser.cred_weight, pat_loser.mean_rating_weight, pat_loser.past_rating_weight) == \
         pytest.approx((0.3, 0.2, 0.5), abs=1e-9)
 
@@ -290,11 +292,11 @@ def _example_evolution():
     before = copy.deepcopy(frozen)
     evo.evolve_population(
         frozen,
-        evo.GaParams(tournament_size=3, num_elites=1, mutation_chance=0.0,
-                     crossover_chance=0.0, tournaments_per_round=10),
+        ga_config(tournament_size=3, num_elites=1, mutation_chance=0.0,
+                  crossover_chance=0.0, tournaments_per_round=10),
         evo.fitness_patient,
-        lambda p: evo.mutate_patient(p, ModelKind.CLASSICAL, RngStream(0)),
-        lambda l, w: evo.crossover_patient(l, w, RngStream(0), ModelKind.CLASSICAL),
+        lambda p: evo.mutate_patient(p, RngStream(0)),
+        lambda l, w: evo.crossover_patient(l, w, RngStream(0)),
         RngStream(5),
     )
     assert frozen == before
@@ -351,8 +353,8 @@ def _evolve_battery(model, steps, seed):
     for patient in state.patients:
         patient.health_history.append(rng.uniform(0.1, 1.0))
     ranks = {d.doctor_id: _credential_rank(d) for d in state.doctors}
-    params = evo.GaParams(tournament_size=4, num_elites=1, mutation_chance=0.6,
-                          crossover_chance=0.6, tournaments_per_round=2)
+    ga_cfg = dataclasses.replace(cfg, mutation_chance=0.6, crossover_chance=0.6,
+                                 tournaments_per_round=2)
     css = model is ModelKind.CSS
     mutate_doctor = evo.mutate_doctor_css if css else evo.mutate_doctor_classical
     doctor_fitness = lambda d: evo.fitness_doctor(d, state.ledger)
@@ -360,15 +362,15 @@ def _evolve_battery(model, steps, seed):
         state.ledger.add_rating(rng.index(8), rng.index(12), float(rng.index(6)))
         if step % 2 == 0:
             population, fitness = state.patients, evo.fitness_patient
-            mutate = lambda p: evo.mutate_patient(p, cfg.model, rng)
-            crossover = lambda l, w: evo.crossover_patient(l, w, rng, cfg.model)
+            mutate = lambda p: evo.mutate_patient(p, rng)
+            crossover = lambda l, w: evo.crossover_patient(l, w, rng)
         else:
             population, fitness = state.doctors, doctor_fitness
             mutate = lambda d: mutate_doctor(d, state.ledger, rng)
-            crossover = lambda l, w: evo.crossover_doctor(l, w, rng, cfg.model)
+            crossover = lambda l, w: evo.crossover_doctor(l, w, rng)
         slot = _elite_slot(population, fitness)
         snapshot = copy.deepcopy(population[slot])
-        evo.evolve_population(population, params, fitness, mutate, crossover, rng)
+        evo.evolve_population(population, ga_cfg, fitness, mutate, crossover, rng)
         assert population[slot] == snapshot, "elite not preserved bitwise"
         _check_world(state.doctors, state.patients, ranks)
 

@@ -365,7 +365,7 @@ def test_respect_follows_tie_map_replacement():
 
 def test_respect_follows_crossover():
     doctors, ledger = rated_clinic()
-    crossover_doctor(doctors[1], doctors[2], StubRng(chance=[True]), ModelKind.CSS)
+    crossover_doctor(doctors[1], doctors[2], StubRng(chance=[True]))
     engine.refresh_social_perception(doctors, ledger)
     assert_respect_fresh(doctors, ledger)
 

@@ -50,6 +50,20 @@ def test_invalid_configs_rejected():
     ):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             small_config("css", **{field: value}).validate()
+    # bool is an int subclass, but no count or chance takes one.
+    for field, value in (
+        ("num_repeats", True),
+        ("num_elites", False),
+        ("snapshot_every", True),
+    ):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            small_config("css", **{field: value}).validate()
+    for field, value in (
+        ("crossover_chance", True),
+        ("mutation_chance", "0.5"),
+    ):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            small_config("css", **{field: value}).validate()
 
 
 def test_default_chances_follow_model():
@@ -152,14 +166,22 @@ def test_invariants_hold_after_full_run():
         for doctor in result.doctors:
             check_doctor_invariants(doctor)
             if model == "classical":
-                # The shared effectiveness formula adds confidence, so a
-                # classical doctor must never hold any.
+                # The shared effectiveness formula adds confidence, and the
+                # shared crossover averages weights and ties, so a classical
+                # doctor must never hold confidence or ties, and its weights
+                # must stay at 0.5.
                 assert doctor.confidence == 0.0
                 assert doctor.social_ties_doctors == {}
                 assert doctor.social_ties_patients == {}
                 assert doctor.respect_for_colleagues == {}
+                assert (doctor.weight_wmrat, doctor.weight_mwres) == (0.5, 0.5)
         for patient in result.patients:
             check_patient_invariants(patient)
+            if model == "classical":
+                # The shared patient mutation skips the tie step (and its
+                # draw) only for a patient without ties.
+                assert patient.social_ties_doctors == {}
+                assert patient.social_ties_patients == {}
 
 
 def test_snapshots_follow_interval():

@@ -3,9 +3,8 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caresim import ModelKind, RatingLedger, RngStream
+from caresim import RatingLedger, RngStream
 from caresim.evolution import (
-    GaParams,
     crossover_doctor,
     crossover_patient,
     evolve_population,
@@ -16,7 +15,7 @@ from caresim.evolution import (
     mutate_patient,
     tournament_select,
 )
-from support import StubRng, check_patient_invariants, make_doctor, make_patient
+from support import StubRng, check_patient_invariants, ga_config, make_doctor, make_patient
 
 
 def rated_ledger(doctor_id, *ratings):
@@ -192,7 +191,7 @@ def test_mutate_css_tie_bucket_empty_maps_is_noop():
 def test_mutate_patient_weights_stay_normalized():
     patient = make_patient(cred_weight=0.2, mean_rating_weight=0.3, past_rating_weight=0.5)
     stub = StubRng(uniform=[0.03, -0.02])
-    mutate_patient(patient, ModelKind.CLASSICAL, stub)
+    mutate_patient(patient, stub)
     total = patient.cred_weight + patient.mean_rating_weight + patient.past_rating_weight
     assert abs(total - 1.0) <= 1e-9
     assert patient.cred_weight == pytest.approx(0.23, abs=1e-9)
@@ -203,7 +202,7 @@ def test_mutate_patient_weights_stay_normalized():
 def test_mutate_patient_weight_clamped_when_delta_goes_negative():
     patient = make_patient(cred_weight=0.01, mean_rating_weight=0.5, past_rating_weight=0.49)
     stub = StubRng(uniform=[-0.03, 0.0])
-    mutate_patient(patient, ModelKind.CLASSICAL, stub)
+    mutate_patient(patient, stub)
     check_patient_invariants(patient)
     assert patient.cred_weight == 0.0
 
@@ -211,16 +210,18 @@ def test_mutate_patient_weight_clamped_when_delta_goes_negative():
 def test_mutate_patient_resilience_clamped_at_bounds():
     patient = make_patient(resilience=0.4)
     stub = StubRng(uniform=[0.0, 0.04])
-    mutate_patient(patient, ModelKind.CLASSICAL, stub)
+    mutate_patient(patient, stub)
     assert patient.resilience == 0.4
 
 
-def test_mutate_patient_classical_leaves_ties_untouched():
-    patient = make_patient(social_ties_doctors={0: 0.5}, social_ties_patients={1: 0.5})
+def test_mutate_patient_without_ties_draws_only_weights_and_resilience():
+    # No ``random`` queue: the tie step's class draw would raise.
+    patient = make_patient()
     stub = StubRng(uniform=[0.01, 0.0])
-    mutate_patient(patient, ModelKind.CLASSICAL, stub)
-    assert patient.social_ties_doctors == {0: 0.5}
-    assert patient.social_ties_patients == {1: 0.5}
+    mutate_patient(patient, stub)
+    assert stub._uniform == []
+    assert patient.social_ties_doctors == {}
+    assert patient.social_ties_patients == {}
 
 
 def test_mutate_patient_css_perturbs_every_tie_of_one_class():
@@ -229,21 +230,21 @@ def test_mutate_patient_css_perturbs_every_tie_of_one_class():
         social_ties_patients={2: 0.5, 3: 0.5},
     )
     stub = StubRng(uniform=[0.01, 0.0, 0.1, -0.1], random=[0.3])
-    mutate_patient(patient, ModelKind.CSS, stub)
+    mutate_patient(patient, stub)
     assert patient.social_ties_doctors == pytest.approx({0: 0.6, 1: 0.4})
     assert patient.social_ties_patients == {2: 0.5, 3: 0.5}
 
 
 @settings(max_examples=80)
-@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(list(ModelKind)))
-def test_mutate_patient_preserves_invariants(seed, model):
+@given(st.integers(min_value=0, max_value=2**32))
+def test_mutate_patient_preserves_invariants(seed):
     rng = RngStream(seed)
     patient = make_patient(
         cred_weight=0.2, mean_rating_weight=0.3, past_rating_weight=0.5,
         social_ties_doctors={0: 0.5, 1: 0.9}, social_ties_patients={2: 0.1},
     )
     for _ in range(25):
-        mutate_patient(patient, model, rng)
+        mutate_patient(patient, rng)
         check_patient_invariants(patient)
 
 
@@ -256,7 +257,7 @@ def test_crossover_doctor_averages_toward_winner():
         social_ties_doctors={1: 0.9, 9: 0.9}, social_ties_patients={0: 0.1},
     )
     before_winner = copy.deepcopy(winner)
-    crossover_doctor(loser, winner, StubRng(chance=[True]), ModelKind.CSS)
+    crossover_doctor(loser, winner, StubRng(chance=[True]))
     assert loser.research_ability == pytest.approx(0.4, abs=1e-12)
     assert loser.empathy == pytest.approx(0.4, abs=1e-12)
     assert loser.weight_wmrat == pytest.approx(0.7, abs=1e-12)
@@ -269,22 +270,25 @@ def test_crossover_doctor_averages_toward_winner():
 def test_crossover_doctor_inner_chance_can_skip():
     loser = make_doctor(research_ability=0.2)
     winner = make_doctor(1, research_ability=0.6)
-    crossover_doctor(loser, winner, StubRng(chance=[False]), ModelKind.CLASSICAL)
+    crossover_doctor(loser, winner, StubRng(chance=[False]))
     assert loser.research_ability == 0.2
 
 
-def test_crossover_doctor_classical_ignores_css_traits():
-    loser = make_doctor(weight_wmrat=0.1, weight_mwres=0.9)
-    winner = make_doctor(1, weight_wmrat=0.9, weight_mwres=0.1)
-    crossover_doctor(loser, winner, StubRng(chance=[True]), ModelKind.CLASSICAL)
-    assert loser.weight_wmrat == 0.1
-    assert loser.weight_mwres == 0.9
+def test_crossover_doctor_without_ties_keeps_half_weights():
+    # A classical doctor: no ties and both confidence weights at 0.5.
+    loser = make_doctor(research_ability=0.2)
+    winner = make_doctor(1, research_ability=0.6)
+    crossover_doctor(loser, winner, StubRng(chance=[True]))
+    assert loser.research_ability == pytest.approx(0.4, abs=1e-12)
+    assert (loser.weight_wmrat, loser.weight_mwres) == (0.5, 0.5)
+    assert loser.social_ties_doctors == {}
+    assert loser.social_ties_patients == {}
 
 
 def test_crossover_patient_hand_case():
     loser = make_patient(0, cred_weight=0.2, mean_rating_weight=0.3, past_rating_weight=0.5)
     winner = make_patient(1, cred_weight=0.4, mean_rating_weight=0.1, past_rating_weight=0.5)
-    crossover_patient(loser, winner, StubRng(chance=[True]), ModelKind.CLASSICAL)
+    crossover_patient(loser, winner, StubRng(chance=[True]))
     assert loser.cred_weight == pytest.approx(0.3, abs=1e-9)
     assert loser.mean_rating_weight == pytest.approx(0.2, abs=1e-9)
     assert loser.past_rating_weight == pytest.approx(0.5, abs=1e-9)
@@ -294,7 +298,7 @@ def test_crossover_patient_identical_parents_change_nothing():
     loser = make_patient(0, resilience=0.25)
     winner = make_patient(1, resilience=0.25)
     before = copy.deepcopy(loser)
-    crossover_patient(loser, winner, StubRng(chance=[True]), ModelKind.CLASSICAL)
+    crossover_patient(loser, winner, StubRng(chance=[True]))
     assert loser.resilience == before.resilience
     assert loser.cred_weight == pytest.approx(before.cred_weight, abs=1e-12)
 
@@ -311,7 +315,7 @@ def test_crossover_moves_loser_strictly_toward_winner(r1, r2, a1, a2):
     winner.social_ties_doctors = {0: a2}
     gap_before = abs(loser.resilience - winner.resilience)
     tie_gap_before = abs(a1 - a2)
-    crossover_patient(loser, winner, StubRng(chance=[True]), ModelKind.CSS)
+    crossover_patient(loser, winner, StubRng(chance=[True]))
     assert abs(loser.resilience - winner.resilience) <= gap_before + 1e-12
     assert abs(loser.social_ties_doctors[0] - a2) <= tie_gap_before + 1e-12
 
@@ -328,12 +332,12 @@ def small_patient_population():
 def test_evolve_zero_chances_changes_nothing():
     patients = small_patient_population()
     before = copy.deepcopy(patients)
-    params = GaParams(tournament_size=3, num_elites=1, mutation_chance=0.0,
-                      crossover_chance=0.0, tournaments_per_round=20)
+    cfg = ga_config(tournament_size=3, num_elites=1, mutation_chance=0.0,
+                    crossover_chance=0.0, tournaments_per_round=20)
     evolve_population(
-        patients, params, fitness_patient,
-        lambda p: mutate_patient(p, ModelKind.CLASSICAL, RngStream(0)),
-        lambda l, w: crossover_patient(l, w, RngStream(0), ModelKind.CLASSICAL),
+        patients, cfg, fitness_patient,
+        lambda p: mutate_patient(p, RngStream(0)),
+        lambda l, w: crossover_patient(l, w, RngStream(0)),
         RngStream(5),
     )
     assert patients == before
@@ -343,12 +347,12 @@ def test_evolve_full_elitism_changes_nothing():
     patients = small_patient_population()
     before = copy.deepcopy(patients)
     rng = RngStream(5)
-    params = GaParams(tournament_size=3, num_elites=len(patients), mutation_chance=1.0,
-                      crossover_chance=1.0, tournaments_per_round=10)
+    cfg = ga_config(tournament_size=3, num_elites=len(patients), mutation_chance=1.0,
+                    crossover_chance=1.0, tournaments_per_round=10)
     evolve_population(
-        patients, params, fitness_patient,
-        lambda p: mutate_patient(p, ModelKind.CLASSICAL, rng),
-        lambda l, w: crossover_patient(l, w, rng, ModelKind.CLASSICAL),
+        patients, cfg, fitness_patient,
+        lambda p: mutate_patient(p, rng),
+        lambda l, w: crossover_patient(l, w, rng),
         rng,
     )
     assert patients == before
@@ -368,10 +372,10 @@ def test_evolve_restores_elite_even_when_it_loses_a_tournament():
         events.append(p.patient_id)
         p.resilience = 0.1 if p.patient_id == 0 else 0.4
 
-    params = GaParams(tournament_size=2, num_elites=1, mutation_chance=1.0,
-                      crossover_chance=0.0, tournaments_per_round=2)
+    cfg = ga_config(tournament_size=2, num_elites=1, mutation_chance=1.0,
+                    crossover_chance=0.0, tournaments_per_round=2)
     stub = StubRng(sample=[(0, 1), (0, 1)], chance=[False, True, False, True])
-    evolve_population(patients, params, fitness, mutate, lambda l, w: None, stub)
+    evolve_population(patients, cfg, fitness, mutate, lambda l, w: None, stub)
     # First event: patient 1 loses and jumps to 0.4; second event: the
     # elite (patient 0) now loses and is mutated, then restored.
     assert events == [1, 0]
@@ -388,13 +392,13 @@ def test_evolve_is_pure_function_of_seed():
     for _ in range(2):
         doctors = make_population()
         rng = RngStream(77)
-        params = GaParams(tournament_size=3, num_elites=1, mutation_chance=0.7,
-                          crossover_chance=0.7, tournaments_per_round=15)
+        cfg = ga_config(tournament_size=3, num_elites=1, mutation_chance=0.7,
+                        crossover_chance=0.7, tournaments_per_round=15)
         evolve_population(
-            doctors, params,
+            doctors, cfg,
             lambda d: fitness_doctor(d, ledger),
             lambda d: mutate_doctor_css(d, ledger, rng),
-            lambda l, w: crossover_doctor(l, w, rng, ModelKind.CSS),
+            lambda l, w: crossover_doctor(l, w, rng),
             rng,
         )
         results.append(doctors)
