@@ -20,12 +20,21 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from caresim import SimulationConfig, run_batch
 from caresim.cli import main
+from caresim.reporting import render_metrics_csv
 
 SINGLE = ["--preset", "paper-single", "--seed", "123"]
 REDUCED_FULL = [
     "--doctors", "100", "--patients", "1000", "--rounds", "15",
     "--infected", "200", "--repeats", "2", "--seed", "7",
+]
+# Small css run with high GA chances, so css doctors mutate their ties.
+TIE_MUTATION = [
+    "--model", "css", "--doctors", "12", "--patients", "60", "--rounds", "25",
+    "--infected", "30", "--repeats", "2", "--elites", "3", "--tournaments-per-round", "7",
+    "--mutation-chance", "0.9", "--crossover-chance", "0.9", "--snapshot-every", "5",
+    "--seed", "1",
 ]
 
 # (case name, CLI arguments, {output file name: SHA-256 hex digest})
@@ -61,6 +70,46 @@ GOLDEN = (
         ["--model", "css", *REDUCED_FULL],
         {"metrics.csv": "ad25a1686bc40d26a6bf0de47bb174265a8385ac07eb954a57a37006118fd718"},
     ),
+    (
+        "small-css-tie-mutation",
+        TIE_MUTATION,
+        {
+            "metrics.csv": "0c1c42b7b5b2b968f2192397d9f2f10dcd528e02745937d1b14cbf4aeeeb5317",
+            "network_run000_round0005.json": "0e0e12ad5e61507b5a654da48e19bac264522167cc199254bb2c883200269b93",
+            "network_run000_round0010.json": "3ee6aad32a6dde402c174a6354a8c70ba3e971a6ca7e62f16db30f9ea2369670",
+            "network_run000_round0015.json": "9151e005d5f4220656f67822d65fe8a33d38612ad6290c8f6f5c2389c8d73b94",
+            "network_run000_round0020.json": "c074a1b3fbba39cb98c9e3d9a7b9e7d0bcc6edb2561b8c9fac99e0ba207aeab4",
+            "network_run000_round0025.json": "7942e18970042f1f9ee01c742e9a8b98f904ad631259407a2deb7057e46ebd6a",
+            "network_run001_round0005.json": "3693446a4987a01d6b5486c16ebd55679e843131d90ff9f558b7fab2417bded3",
+            "network_run001_round0010.json": "feafe7bccfd7d9b1d85a8ff4ef306138561a5bec7f3634257e09495f4566a5c1",
+            "network_run001_round0015.json": "10c9d7ba3be9201dc0a650326612ce2dfcd4276775b283ae7f369be390d294d2",
+            "network_run001_round0020.json": "01ea9aa916075595b320d309e74bdab3ecc857c5bf5594e043b1a92dc6268f8f",
+            "network_run001_round0025.json": "50077459de6904c718b0b1c536726ff13e8f103e562d4b56793fa8f024cc8a3c",
+        },
+    ),
+)
+
+# Edge populations the CLI presets never reach, run through the library:
+# (case name, SimulationConfig keyword arguments, metrics.csv SHA-256).
+EDGE_CASE = dict(model="css", num_rounds=15, num_repeats=2, num_elites=0, tournament_size=1,
+                 mutation_chance=1.0, crossover_chance=1.0, base_seed=3)
+LIBRARY = (
+    (
+        "css-one-doctor",
+        dict(EDGE_CASE, num_doctors=1, num_patients=20, num_infected_per_round=8),
+        "c15ee43f25cc114fe4e7e0c9af0a245ed1e478ba491ff493cc6ccf0b154ed655",
+    ),
+    (
+        "css-one-patient",
+        dict(EDGE_CASE, num_doctors=5, num_patients=1, num_infected_per_round=1),
+        "c4477d9e16e2c80e0feebc3b0b0a07f306ba16186556984889af42b5cf86c3f2",
+    ),
+    (
+        "css-two-by-two-self-tournament",
+        dict(EDGE_CASE, num_doctors=2, num_patients=2, num_infected_per_round=2,
+             tournaments_per_round=3),
+        "78c2948266288d359e915311d8325657a335baf39bb6044d651476ce6b0f1268",
+    ),
 )
 
 
@@ -79,6 +128,12 @@ def run_digests(argv: list[str]) -> dict[str, str]:
 def check(name: str, argv: list[str], expected: dict[str, str]) -> None:
     actual = run_digests(argv)
     assert actual == expected, f"{name}: output digests changed\nexpected {expected}\nactual   {actual}"
+
+
+def check_library(name: str, kwargs: dict, expected: str) -> None:
+    csv = render_metrics_csv(run_batch(SimulationConfig(**kwargs)).aggregates)
+    actual = hashlib.sha256(csv.encode("utf-8")).hexdigest()
+    assert actual == expected, f"{name}: metrics.csv digest changed\nexpected {expected}\nactual   {actual}"
 
 
 def test_single_classical():
@@ -101,15 +156,32 @@ def test_reduced_full_css():
     check(*GOLDEN[4])
 
 
+def test_small_css_tie_mutation():
+    check(*GOLDEN[5])
+
+
+def test_library_css_one_doctor():
+    check_library(*LIBRARY[0])
+
+
+def test_library_css_one_patient():
+    check_library(*LIBRARY[1])
+
+
+def test_library_css_two_by_two_self_tournament():
+    check_library(*LIBRARY[2])
+
+
 if __name__ == "__main__":
+    cases = [(check, case) for case in GOLDEN] + [(check_library, case) for case in LIBRARY]
     failed = 0
-    for name, argv, expected in GOLDEN:
+    for checker, case in cases:
         try:
-            check(name, argv, expected)
+            checker(*case)
         except AssertionError as exc:
             failed += 1
             print(f"FAIL {exc}")
         else:
-            print(f"ok   {name}")
-    print(f"golden: {len(GOLDEN) - failed}/{len(GOLDEN)} ok on Python {sys.version.split()[0]}")
+            print(f"ok   {case[0]}")
+    print(f"golden: {len(cases) - failed}/{len(cases)} ok on Python {sys.version.split()[0]}")
     sys.exit(1 if failed else 0)
