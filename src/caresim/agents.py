@@ -1,9 +1,12 @@
 """Agent state types and seeded initialization.
 
 Doctors and patients are plain mutable dataclasses.  Social ties are
-directed: each agent holds its own strength maps toward peers, and A's
-tie to B is drawn independently of B's tie to A.  Classical-model agents
-simply carry empty tie maps; every tie-weighted aggregation then reads
+directed: each agent holds its own strength lists toward peers, indexed
+by peer id (ids run 0..n-1 per population), and A's tie to B is drawn
+independently of B's tie to A.  In a same-kind list the agent's own slot
+stays 0.0: it is never drawn, mutated, averaged or exported, and a
+zero weight adds nothing to a tie-weighted sum.  Classical-model agents
+simply carry empty tie lists; every tie-weighted aggregation then reads
 as zero, and the shared GA operators find no tie to perturb or average.
 Their doctors also keep both confidence weights at 0.5 for the whole
 run (only css mutation moves them), so averaging two of them in
@@ -13,11 +16,12 @@ Initialization draw order (one :class:`~caresim.rng.RngStream` per run):
 
 * doctor: research ability U(0.2, 0.6), empathy U(0.2, 0.7),
   technological resource constraint U(0.2, 0.5), credential uniform over
-  {low, medium, high}; css only: one U(0, 1) tie per peer doctor in the
-  order given, then one per patient in the order given.
+  {low, medium, high}; css only: one U(0, 1) tie per peer doctor in
+  ascending id, skipping self, then one per patient in ascending id.
 * patient: health U(0.5, 1.0), resilience U(0.1, 0.4), raw judgment
   weights U(0, 1), U(0, 1), U(0, 2) normalized to sum 1; css only: one
-  U(0, 1) tie per doctor, then one per peer patient, in the order given.
+  U(0, 1) tie per doctor, then one per peer patient, in ascending id,
+  skipping self.
 
 The past-rating weight is drawn on a doubled range so its expected
 normalized share is about one half, twice the other two weights.
@@ -50,9 +54,9 @@ class DoctorState:
     technological_resource_constraint: float = 0.2
     credential: Credential = Credential.LOW
     is_busy: bool = False
-    social_ties_doctors: dict[int, float] = field(default_factory=dict)
-    social_ties_patients: dict[int, float] = field(default_factory=dict)
-    respect_for_colleagues: dict[int, float] = field(default_factory=dict)
+    social_ties_doctors: list[float] = field(default_factory=list)
+    social_ties_patients: list[float] = field(default_factory=list)
+    respect_for_colleagues: list[float] = field(default_factory=list)
     confidence: float = 0.0
     weight_wmrat: float = 0.5
     weight_mwres: float = 0.5
@@ -74,24 +78,24 @@ class PatientState:
     infected_order: int | None = None
     last_doctor_id: int | None = None
     health_history: list[float] = field(default_factory=list)
-    social_ties_doctors: dict[int, float] = field(default_factory=dict)
-    social_ties_patients: dict[int, float] = field(default_factory=dict)
+    social_ties_doctors: list[float] = field(default_factory=list)
+    social_ties_patients: list[float] = field(default_factory=list)
 
     @property
     def agent_id(self) -> int:
         return self.patient_id
 
 
+def _peer_ties(self_id: int, size: int, rng: RngStream) -> list[float]:
+    return [0.0 if peer == self_id else rng.uniform(0.0, 1.0) for peer in range(size)]
+
+
 def init_doctor(
-    doctor_id: int,
-    rng: RngStream,
-    model: ModelKind,
-    peer_doctor_ids: list[int],
-    patient_ids: list[int],
+    doctor_id: int, rng: RngStream, model: ModelKind, num_doctors: int, num_patients: int
 ) -> DoctorState:
-    """Draw a fresh doctor.  ``peer_doctor_ids`` must not contain ``doctor_id``."""
-    if doctor_id in peer_doctor_ids:
-        raise ValueError(f"duplicate doctor id {doctor_id}")
+    """Draw a fresh doctor; ``doctor_id`` must lie in ``range(num_doctors)``."""
+    if not 0 <= doctor_id < num_doctors:
+        raise ValueError(f"doctor id {doctor_id} outside 0..{num_doctors - 1}")
     doctor = DoctorState(
         doctor_id=doctor_id,
         research_ability=rng.uniform(0.2, 0.6),
@@ -100,22 +104,18 @@ def init_doctor(
         credential=rng.choice((Credential.LOW, Credential.MEDIUM, Credential.HIGH)),
     )
     if model is ModelKind.CSS:
-        doctor.social_ties_doctors = {peer: rng.uniform(0.0, 1.0) for peer in peer_doctor_ids}
-        doctor.social_ties_patients = {pid: rng.uniform(0.0, 1.0) for pid in patient_ids}
-        doctor.respect_for_colleagues = {peer: 0.0 for peer in peer_doctor_ids}
+        doctor.social_ties_doctors = _peer_ties(doctor_id, num_doctors, rng)
+        doctor.social_ties_patients = [rng.uniform(0.0, 1.0) for _ in range(num_patients)]
+        doctor.respect_for_colleagues = [0.0] * num_doctors
     return doctor
 
 
 def init_patient(
-    patient_id: int,
-    rng: RngStream,
-    model: ModelKind,
-    doctor_ids: list[int],
-    peer_patient_ids: list[int],
+    patient_id: int, rng: RngStream, model: ModelKind, num_doctors: int, num_patients: int
 ) -> PatientState:
-    """Draw a fresh patient.  ``peer_patient_ids`` must not contain ``patient_id``."""
-    if patient_id in peer_patient_ids:
-        raise ValueError(f"duplicate patient id {patient_id}")
+    """Draw a fresh patient; ``patient_id`` must lie in ``range(num_patients)``."""
+    if not 0 <= patient_id < num_patients:
+        raise ValueError(f"patient id {patient_id} outside 0..{num_patients - 1}")
     health = rng.uniform(0.5, 1.0)
     resilience = rng.uniform(0.1, 0.4)
     raw_cred = rng.uniform(0.0, 1.0)
@@ -131,6 +131,6 @@ def init_patient(
         past_rating_weight=raw_past / total,
     )
     if model is ModelKind.CSS:
-        patient.social_ties_doctors = {did: rng.uniform(0.0, 1.0) for did in doctor_ids}
-        patient.social_ties_patients = {pid: rng.uniform(0.0, 1.0) for pid in peer_patient_ids}
+        patient.social_ties_doctors = [rng.uniform(0.0, 1.0) for _ in range(num_doctors)]
+        patient.social_ties_patients = _peer_ties(patient_id, num_patients, rng)
     return patient

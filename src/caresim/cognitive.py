@@ -5,6 +5,9 @@ at face value: colleague respect feeds doctor confidence, confidence
 feeds treatment effectiveness, and patients judge and rate doctors
 through their own tie strengths.  Ratings here are one-decimal reals.
 
+Ties and respect are lists indexed by peer id.  An agent's own slot is
+0.0, so a weighted sum over every slot needs no self-exclusion.
+
 Confidence is read only by treatment effectiveness, so the engine
 refreshes respect and confidence for every doctor only in rounds where
 some patient seeks care, before the first treatment: first all respect
@@ -38,10 +41,9 @@ def mean_weighted_respects(doctor: DoctorState, all_doctors: list[DoctorState]) 
     """Average respect colleagues hold for this doctor, weighted by the
     doctor's own tie to each colleague; zero when all ties are zero."""
     return tie_weighted_mean(
-        (colleague.respect_for_colleagues.get(doctor.doctor_id, 0.0),
-         doctor.social_ties_doctors.get(colleague.doctor_id, 0.0))
+        (colleague.respect_for_colleagues[doctor.doctor_id],
+         doctor.social_ties_doctors[colleague.doctor_id])
         for colleague in all_doctors
-        if colleague.doctor_id != doctor.doctor_id
     )
 
 
@@ -62,7 +64,7 @@ def update_respect_for_colleagues(
             continue
         valuation = ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
         credential_score = TREATMENT_FACTOR[colleague.credential]
-        strength = doctor.social_ties_doctors.get(colleague.doctor_id, 0.0)
+        strength = doctor.social_ties_doctors[colleague.doctor_id]
         doctor.respect_for_colleagues[colleague.doctor_id] = strength * (
             credential_score + valuation
         )
@@ -82,17 +84,13 @@ def judge_doctor_css(patient: PatientState, doctor: DoctorState, ledger: RatingL
     """Tie-weighted judgment of a doctor.
 
     The credential score is scaled by the patient's tie to the doctor;
-    the peer-rating term averages peers' stored ratings weighted by the
-    patient's ties to those peers (aggregated over the doctor's raters,
-    which sums the same terms as walking the tie map); the past-rating
-    term is the patient's own stored rating, unweighted.
+    the peer-rating term averages the doctor's stored ratings weighted by
+    the patient's ties to the raters (the patient's own rating meets its
+    0.0 self slot, so it adds nothing); the past-rating term is the
+    patient's own stored rating, unweighted.
     """
-    s_doc = patient.social_ties_doctors.get(doctor.doctor_id, 0.0)
-    peers_part = tie_weighted_mean(
-        (rating, patient.social_ties_patients.get(rater_id, 0.0))
-        for rater_id, rating in ledger.ratings_for(doctor.doctor_id).items()
-        if rater_id != patient.patient_id
-    )
+    s_doc = patient.social_ties_doctors[doctor.doctor_id]
+    peers_part = ledger.mean_weighted_ratings(doctor.doctor_id, patient.social_ties_patients)
     past = ledger.rating_by_patient(doctor.doctor_id, patient.patient_id)
     return (
         patient.cred_weight * (JUDGMENT_SCORE[doctor.credential] * s_doc)
@@ -107,7 +105,7 @@ def rate_doctor_css(patient: PatientState, doctor: DoctorState) -> float:
         base = float(PERFECT_RATING)
     else:
         base = max(0.0, PERFECT_RATING * patient.health_level / PERFECT_RATING_THRESHOLD)
-    strength = patient.social_ties_doctors.get(doctor.doctor_id, 0.0)
+    strength = patient.social_ties_doctors[doctor.doctor_id]
     adjusted = base * (1.0 + RATING_TIE_BONUS * strength)
     rating = min(float(PERFECT_RATING), round_to_tenth(adjusted))
     patient.last_doctor_id = doctor.doctor_id

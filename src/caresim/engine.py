@@ -135,16 +135,9 @@ def _mean(values) -> float:
 def init_run_state(config: SimulationConfig, run_seed: int) -> RunState:
     config.validate()
     rng = RngStream(run_seed)
-    doctor_ids = list(range(config.num_doctors))
-    patient_ids = list(range(config.num_patients))
-    doctors = [
-        init_doctor(i, rng, config.model, doctor_ids[:i] + doctor_ids[i + 1 :], patient_ids)
-        for i in doctor_ids
-    ]
-    patients = [
-        init_patient(i, rng, config.model, doctor_ids, patient_ids[:i] + patient_ids[i + 1 :])
-        for i in patient_ids
-    ]
+    sizes = (config.num_doctors, config.num_patients)
+    doctors = [init_doctor(i, rng, config.model, *sizes) for i in range(config.num_doctors)]
+    patients = [init_patient(i, rng, config.model, *sizes) for i in range(config.num_patients)]
     return RunState(
         config=config,
         rng=rng,
@@ -184,7 +177,6 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     if css and seekers:
         refresh_social_perception(state.doctors, state.ledger)
 
-    doctors_by_id = {d.doctor_id: d for d in state.doctors}
     treatments = 0
     untreated = 0
     judge = cognitive.judge_doctor_css if css else classical.judge_doctor
@@ -194,7 +186,7 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
         if chosen is None:
             untreated += 1
             continue
-        treat(patient, doctors_by_id[chosen], state.ledger)
+        treat(patient, state.doctors[chosen], state.ledger)  # doctors[i] has id i
         treatments += 1
 
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical
@@ -234,21 +226,18 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
 
 
 def capture_snapshot(state: RunState, round_index: int) -> NetworkSnapshot:
-    nodes = [(f"d{d.doctor_id}", "doctor") for d in state.doctors]
-    nodes += [(f"p{p.patient_id}", "patient") for p in state.patients]
+    names = {"d": [f"d{d.doctor_id}" for d in state.doctors],
+             "p": [f"p{p.patient_id}" for p in state.patients]}
+    nodes = [(name, "doctor") for name in names["d"]] + [(name, "patient") for name in names["p"]]
     edges: list[tuple[str, str, float]] = []
-    for doctor in state.doctors:
-        src = f"d{doctor.doctor_id}"
-        for peer in sorted(doctor.social_ties_doctors):
-            edges.append((src, f"d{peer}", round(doctor.social_ties_doctors[peer], 6)))
-        for pid in sorted(doctor.social_ties_patients):
-            edges.append((src, f"p{pid}", round(doctor.social_ties_patients[pid], 6)))
-    for patient in state.patients:
-        src = f"p{patient.patient_id}"
-        for did in sorted(patient.social_ties_doctors):
-            edges.append((src, f"d{did}", round(patient.social_ties_doctors[did], 6)))
-        for peer in sorted(patient.social_ties_patients):
-            edges.append((src, f"p{peer}", round(patient.social_ties_patients[peer], 6)))
+    for kind, agents in (("d", state.doctors), ("p", state.patients)):
+        for agent in agents:
+            src = names[kind][agent.agent_id]
+            for peer_kind, ties in (("d", agent.social_ties_doctors), ("p", agent.social_ties_patients)):
+                part = [(src, dst, round(strength, 6)) for dst, strength in zip(names[peer_kind], ties)]
+                if peer_kind == kind and part:
+                    del part[agent.agent_id]  # the agent's own slot is no edge
+                edges += part
     return NetworkSnapshot(round_index=round_index, nodes=nodes, edges=edges)
 
 

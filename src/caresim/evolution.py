@@ -107,12 +107,15 @@ def mutate_doctor_css(doctor: DoctorState, ledger: RatingLedger, rng: RngStream)
         change = amount * rng.sign()
         setattr(doctor, trait, max(0.0, min(1.0, getattr(doctor, trait) + change)))
     else:
-        pick_doctors = rng.random() < 0.5 and doctor.social_ties_doctors
-        ties = doctor.social_ties_doctors if pick_doctors else doctor.social_ties_patients
-        if ties:
-            key = rng.choice(list(ties.keys()))
-            ties[key] = max(0.0, min(1.0, ties[key] + amount * rng.sign()))
-    doctor.personal_resource = max(0.0, doctor.personal_resource)
+        # A lone doctor has only its own slot, so it falls back to patient ties.
+        if rng.random() < 0.5 and len(doctor.social_ties_doctors) > 1:
+            ties = doctor.social_ties_doctors
+            key = rng.index(len(ties) - 1)
+            key += key >= doctor.doctor_id
+        else:
+            ties = doctor.social_ties_patients
+            key = rng.index(len(ties))
+        ties[key] = max(0.0, min(1.0, ties[key] + amount * rng.sign()))
 
 
 def _renormalize_weights(patient: PatientState) -> None:
@@ -137,8 +140,9 @@ def mutate_patient(patient: PatientState, rng: RngStream) -> None:
     resilience, and perturb social ties.
 
     The tie mutation picks one class (doctors or patients, 50/50) and
-    perturbs every tie in it independently.  A patient without ties (every
-    classical patient) skips it and its draw.
+    perturbs every tie in it independently, in ascending id, skipping the
+    patient's own slot.  A patient without ties (every classical patient)
+    skips it and its draw.
     """
     delta = rng.uniform(-MUTATION_AMOUNT_MAX, MUTATION_AMOUNT_MAX)
     patient.cred_weight += delta
@@ -150,23 +154,27 @@ def mutate_patient(patient: PatientState, rng: RngStream) -> None:
     if not (patient.social_ties_doctors or patient.social_ties_patients):
         return
     if rng.random() < 0.5:
-        ties = patient.social_ties_doctors
+        ties, self_id = patient.social_ties_doctors, -1
     else:
-        ties = patient.social_ties_patients
-    for key in ties:
-        ties[key] = max(0.0, min(1.0, ties[key] + rng.uniform(-TIE_MUTATION_RANGE, TIE_MUTATION_RANGE)))
+        ties, self_id = patient.social_ties_patients, patient.patient_id
+    for key, strength in enumerate(ties):
+        if key != self_id:
+            ties[key] = max(0.0, min(1.0, strength + rng.uniform(-TIE_MUTATION_RANGE, TIE_MUTATION_RANGE)))
 
 
-def _average_shared_ties(loser_ties: dict[int, float], winner_ties: dict[int, float]) -> None:
-    for key in loser_ties:
-        if key in winner_ties:
-            loser_ties[key] = (loser_ties[key] + winner_ties[key]) / 2.0
+def _average_ties(loser_ties: list[float], winner_ties: list[float], *keep: int) -> list[float]:
+    """Slot-wise means of two tie lists; the ``keep`` slots hold the loser's value."""
+    averaged = [(x + y) / 2.0 for x, y in zip(loser_ties, winner_ties)]
+    if averaged:  # classical agents hold no ties
+        for key in keep:
+            averaged[key] = loser_ties[key]
+    return averaged
 
 
 def crossover_doctor(loser: DoctorState, winner: DoctorState, rng: RngStream) -> None:
     """With inner 50% chance, pull the loser's traits to the parents' means.
 
-    Only the loser changes.  Tie keys the winner lacks stay untouched.
+    Only the loser changes; its own and the winner's doctor-tie slots stay.
     """
     if not rng.chance(CROSSOVER_INNER_CHANCE):
         return
@@ -174,13 +182,15 @@ def crossover_doctor(loser: DoctorState, winner: DoctorState, rng: RngStream) ->
     loser.empathy = (loser.empathy + winner.empathy) / 2.0
     loser.weight_wmrat = (loser.weight_wmrat + winner.weight_wmrat) / 2.0
     loser.weight_mwres = (loser.weight_mwres + winner.weight_mwres) / 2.0
-    _average_shared_ties(loser.social_ties_doctors, winner.social_ties_doctors)
-    _average_shared_ties(loser.social_ties_patients, winner.social_ties_patients)
+    loser.social_ties_doctors = _average_ties(
+        loser.social_ties_doctors, winner.social_ties_doctors, loser.doctor_id, winner.doctor_id
+    )
+    loser.social_ties_patients = _average_ties(loser.social_ties_patients, winner.social_ties_patients)
 
 
 def crossover_patient(loser: PatientState, winner: PatientState, rng: RngStream) -> None:
-    """With inner 50% chance, average resilience, judgment weights, and
-    shared tie keys into the loser."""
+    """With inner 50% chance, average resilience, judgment weights and ties
+    into the loser, except its own and the winner's patient-tie slots."""
     if not rng.chance(CROSSOVER_INNER_CHANCE):
         return
     loser.resilience = (loser.resilience + winner.resilience) / 2.0
@@ -188,8 +198,10 @@ def crossover_patient(loser: PatientState, winner: PatientState, rng: RngStream)
     loser.mean_rating_weight = (loser.mean_rating_weight + winner.mean_rating_weight) / 2.0
     loser.past_rating_weight = (loser.past_rating_weight + winner.past_rating_weight) / 2.0
     _renormalize_weights(loser)
-    _average_shared_ties(loser.social_ties_doctors, winner.social_ties_doctors)
-    _average_shared_ties(loser.social_ties_patients, winner.social_ties_patients)
+    loser.social_ties_doctors = _average_ties(loser.social_ties_doctors, winner.social_ties_doctors)
+    loser.social_ties_patients = _average_ties(
+        loser.social_ties_patients, winner.social_ties_patients, loser.patient_id, winner.patient_id
+    )
 
 
 def evolve_population(

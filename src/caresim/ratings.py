@@ -55,20 +55,20 @@ class RatingLedger:
         """Most recently arrived rating for the doctor, neutral 3 if none."""
         return self._last.get(doctor_id, NEUTRAL_FEEDBACK)
 
-    def mean_weighted_ratings(self, doctor_id: int, ties: dict[int, float]) -> float:
-        """Tie-weighted mean of the doctor's current ratings; zero when the
-        doctor is unrated or every rater's tie is zero."""
+    def mean_weighted_ratings(self, doctor_id: int, ties: list[float]) -> float:
+        """Mean of the doctor's current ratings weighted by ``ties[patient_id]``;
+        zero when the doctor is unrated or every rater's tie is zero."""
         return tie_weighted_mean(
-            (rating, ties.get(patient_id, 0.0))
+            (rating, ties[patient_id])
             for patient_id, rating in self._by_doctor.get(doctor_id, _EMPTY).items()
         )
 
-    def weighted_valuation(self, doctor_id: int, ties: dict[int, float]) -> float:
-        """Unnormalized sum of the doctor's ratings weighted by the evaluator's ties."""
+    def weighted_valuation(self, doctor_id: int, ties: list[float]) -> float:
+        """Unnormalized sum of the doctor's ratings weighted by ``ties[patient_id]``."""
         current = self._by_doctor.get(doctor_id)
         if not current:
             return 0.0
-        return sum(rating * ties.get(patient_id, 0.0) for patient_id, rating in current.items())
+        return sum(rating * ties[patient_id] for patient_id, rating in current.items())
 
     def ratings_for(self, doctor_id: int):
         """Read-only view of the doctor's current per-patient ratings."""

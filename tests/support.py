@@ -85,7 +85,18 @@ def ga_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-def check_doctor_invariants(doctor: DoctorState) -> None:
+def check_tie_format(ties: list[float], size: int, self_id: int | None = None) -> None:
+    """A tie list has one slot per member of the peer population (or none,
+    for classical agents), each in [0, 1]; the agent's own slot is 0.0."""
+    assert isinstance(ties, list)
+    assert len(ties) in (0, size)
+    for strength in ties:
+        assert 0.0 <= strength <= 1.0
+    if ties and self_id is not None:
+        assert ties[self_id] == 0.0
+
+
+def check_doctor_invariants(doctor: DoctorState, num_doctors: int, num_patients: int) -> None:
     assert 0.0 <= doctor.research_ability <= 1.0
     assert 0.0 <= doctor.empathy <= 1.0
     assert 0.0 <= doctor.weight_wmrat <= 1.0
@@ -94,14 +105,18 @@ def check_doctor_invariants(doctor: DoctorState) -> None:
     assert doctor.experience >= 0
     assert doctor.confidence >= 0.0
     assert isinstance(doctor.credential, Credential)
-    for ties in (doctor.social_ties_doctors, doctor.social_ties_patients):
-        for strength in ties.values():
-            assert 0.0 <= strength <= 1.0
-    for respect in doctor.respect_for_colleagues.values():
+    check_tie_format(doctor.social_ties_doctors, num_doctors, doctor.doctor_id)
+    check_tie_format(doctor.social_ties_patients, num_patients)
+    css = bool(doctor.social_ties_doctors)
+    assert bool(doctor.social_ties_patients) == css
+    assert len(doctor.respect_for_colleagues) == (num_doctors if css else 0)
+    for respect in doctor.respect_for_colleagues:
         assert respect >= 0.0
+    if css:
+        assert doctor.respect_for_colleagues[doctor.doctor_id] == 0.0
 
 
-def check_patient_invariants(patient: PatientState) -> None:
+def check_patient_invariants(patient: PatientState, num_doctors: int, num_patients: int) -> None:
     assert 0.0 <= patient.health_level <= 1.0
     assert 0.1 <= patient.resilience <= 0.4
     for weight in (patient.cred_weight, patient.mean_rating_weight, patient.past_rating_weight):
@@ -112,9 +127,9 @@ def check_patient_invariants(patient: PatientState) -> None:
         assert patient.infected_order is not None
     for level in patient.health_history:
         assert 0.0 <= level <= 1.0
-    for ties in (patient.social_ties_doctors, patient.social_ties_patients):
-        for strength in ties.values():
-            assert 0.0 <= strength <= 1.0
+    check_tie_format(patient.social_ties_doctors, num_doctors)
+    check_tie_format(patient.social_ties_patients, num_patients, patient.patient_id)
+    assert bool(patient.social_ties_doctors) == bool(patient.social_ties_patients)
 
 
 def exhaustive_choose(

@@ -68,10 +68,10 @@ def _example_initialization():
 
     rng = RngStream(13)
     for _ in range(50):
-        doctor = init_doctor(0, rng, ModelKind.CLASSICAL, [1], [0, 2])
+        doctor = init_doctor(0, rng, ModelKind.CLASSICAL, 2, 3)
         assert 0.2 <= doctor.research_ability <= 0.6
         assert doctor.personal_resource == pytest.approx(0.2)
-        patient = init_patient(0, rng, ModelKind.CLASSICAL, [0], [1, 2])
+        patient = init_patient(0, rng, ModelKind.CLASSICAL, 1, 3)
         assert 0.1 <= patient.resilience <= 0.4
         total = patient.cred_weight + patient.mean_rating_weight + patient.past_rating_weight
         assert abs(total - 1.0) <= 1e-9
@@ -87,7 +87,7 @@ def _example_past_weight_monte_carlo():
     ) / 10_000
     rng = RngStream(2024)
     empirical = sum(
-        init_patient(0, rng, ModelKind.CLASSICAL, [0], [1]).past_rating_weight
+        init_patient(0, rng, ModelKind.CLASSICAL, 1, 2).past_rating_weight
         for _ in range(10_000)
     ) / 10_000
     assert abs(empirical - oracle) <= 0.02
@@ -106,10 +106,10 @@ def _example_ratings():
     assert _ledger((1, 1, 5), (1, 2, 3)).mean_rating(1) == pytest.approx(4, abs=1e-9)
     assert _ledger((1, 1, 5), (1, 2, 2)).recent_feedback(1) == 2
     spread = _ledger((1, 1, 5), (1, 2, 3))
-    assert spread.mean_weighted_ratings(1, {1: 0.5, 2: 0.5}) == pytest.approx(4.0, abs=1e-9)
-    assert spread.mean_weighted_ratings(1, {1: 0.0, 2: 0.0}) == 0
-    assert spread.weighted_valuation(1, {1: 0.5, 2: 0.5}) == pytest.approx(4.0, abs=1e-9)
-    assert spread.weighted_valuation(1, {1: 0.0, 2: 0.0}) == 0
+    assert spread.mean_weighted_ratings(1, [0.0, 0.5, 0.5]) == pytest.approx(4.0, abs=1e-9)
+    assert spread.mean_weighted_ratings(1, [0.0, 0.0, 0.0]) == 0
+    assert spread.weighted_valuation(1, [0.0, 0.5, 0.5]) == pytest.approx(4.0, abs=1e-9)
+    assert spread.weighted_valuation(1, [0.0, 0.0, 0.0]) == 0
     assert _ledger((1, 5, 3)).rating_by_patient(1, 9) is None
 
 
@@ -188,27 +188,29 @@ def _example_classical_care():
 
 
 def _example_cognitive_care():
-    d0 = make_doctor(0, social_ties_doctors={1: 0.5, 2: 0.5})
-    d1 = make_doctor(1, respect_for_colleagues={0: 2.0})
-    d2 = make_doctor(2, respect_for_colleagues={0: 4.0})
+    d0 = make_doctor(0, social_ties_doctors=[0.0, 0.5, 0.5], respect_for_colleagues=[0.0] * 3)
+    d1 = make_doctor(1, respect_for_colleagues=[2.0, 0.0, 0.0])
+    d2 = make_doctor(2, respect_for_colleagues=[4.0, 0.0, 0.0])
     assert cog.mean_weighted_respects(d0, [d0, d1, d2]) == pytest.approx(3.0, abs=1e-9)
-    d0.social_ties_doctors = {1: 0.0, 2: 0.0}
+    d0.social_ties_doctors = [0.0, 0.0, 0.0]
     assert cog.mean_weighted_respects(d0, [d0, d1, d2]) == 0.0
 
-    evaluator = make_doctor(0, social_ties_doctors={1: 0.5},
-                            social_ties_patients={10: 0.5, 11: 0.5})
+    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.5], social_ties_patients=[0.5, 0.5],
+                            respect_for_colleagues=[0.0, 0.0])
     colleague = make_doctor(1, credential=Credential.MEDIUM)
     cog.update_respect_for_colleagues(evaluator, [evaluator, colleague],
-                                      _ledger((1, 10, 5), (1, 11, 3)))
+                                      _ledger((1, 0, 5), (1, 1, 3)))
     assert evaluator.respect_for_colleagues[1] == pytest.approx(2.1, abs=1e-9)
-    unrated = make_doctor(0, social_ties_doctors={1: 0.4}, social_ties_patients={5: 1.0})
+    unrated = make_doctor(0, social_ties_doctors=[0.0, 0.4], social_ties_patients=[1.0],
+                          respect_for_colleagues=[0.0, 0.0])
     cog.update_respect_for_colleagues(unrated, [unrated, make_doctor(1, credential=Credential.HIGH)],
                                       RatingLedger())
     assert unrated.respect_for_colleagues[1] == pytest.approx(0.12, abs=1e-9)
 
-    confident = make_doctor(0, social_ties_patients={10: 0.8}, social_ties_doctors={1: 1.0})
-    peer = make_doctor(1, respect_for_colleagues={0: 2.0})
-    cog.update_confidence(confident, _ledger((0, 10, 4)), [confident, peer])
+    confident = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
+                            respect_for_colleagues=[0.0, 0.0])
+    peer = make_doctor(1, respect_for_colleagues=[2.0, 0.0])
+    cog.update_confidence(confident, _ledger((0, 0, 4)), [confident, peer])
     assert confident.confidence == pytest.approx(3.0, abs=1e-9)
 
     boosted = make_doctor(credential=Credential.MEDIUM, empathy=0.3,
@@ -217,20 +219,20 @@ def _example_cognitive_care():
     calm = make_doctor(confidence=0.0)
     assert cl.treatment_effectiveness(calm) == pytest.approx(0.49, abs=1e-12)
 
-    judge = make_patient(1, social_ties_doctors={0: 0.5},
-                         social_ties_patients={2: 0.5, 3: 0.5})
+    judge = make_patient(1, social_ties_doctors=[0.5],
+                         social_ties_patients=[0.0, 0.0, 0.5, 0.5])
     tied = make_doctor(0, credential=Credential.HIGH)
     judged = cog.judge_doctor_css(judge, tied, _ledger((0, 2, 5), (0, 3, 3), (0, 1, 4)))
     assert judged == pytest.approx((0.5 + 4 + 4) / 3, abs=1e-9)
-    zero_tie_peer = make_patient(1, social_ties_doctors={0: 0.5},
-                                 social_ties_patients={2: 0.5, 3: 0.0})
+    zero_tie_peer = make_patient(1, social_ties_doctors=[0.5],
+                                 social_ties_patients=[0.0, 0.0, 0.5, 0.0])
     with_peer = cog.judge_doctor_css(zero_tie_peer, tied, _ledger((0, 2, 5), (0, 3, 1)))
     without = cog.judge_doctor_css(zero_tie_peer, tied, _ledger((0, 2, 5)))
     assert with_peer == pytest.approx(without, abs=1e-12)
 
-    perfect = make_patient(1, health_level=0.8, social_ties_doctors={0: 1.0})
+    perfect = make_patient(1, health_level=0.8, social_ties_doctors=[1.0])
     assert cog.rate_doctor_css(perfect, make_doctor(0)) == 5.0
-    partial = make_patient(1, health_level=0.4, social_ties_doctors={0: 0.5})
+    partial = make_patient(1, health_level=0.4, social_ties_doctors=[0.5])
     assert cog.rate_doctor_css(partial, make_doctor(0)) == pytest.approx(2.6)
 
 
@@ -263,11 +265,11 @@ def _example_evolution():
                                 StubRng(uniform=[0.04], random=[0.1], sign=[1]))
     assert spent.research_ability == 0.4 and spent.personal_resource == 0.0
 
-    halfway = make_doctor(social_ties_doctors={1: 0.5}, social_ties_patients={0: 0.5})
+    halfway = make_doctor(social_ties_doctors=[0.0, 0.5], social_ties_patients=[0.5])
     evo.mutate_doctor_css(halfway, RatingLedger(), StubRng(uniform=[0.04], random=[0.5], sign=[1]))
     assert halfway.weight_wmrat == pytest.approx(0.52, abs=1e-12)
     rejected = make_doctor(research_ability=0.99,
-                           social_ties_doctors={1: 0.5}, social_ties_patients={0: 0.5})
+                           social_ties_doctors=[0.0, 0.5], social_ties_patients=[0.5])
     evo.mutate_doctor_css(rejected, RatingLedger(), StubRng(uniform=[0.04], random=[0.1], sign=[1]))
     assert rejected.research_ability == 0.99
 
@@ -276,11 +278,11 @@ def _example_evolution():
     total = weighted.cred_weight + weighted.mean_rating_weight + weighted.past_rating_weight
     assert abs(total - 1.0) <= 1e-9
 
-    loser = make_doctor(0, research_ability=0.2, social_ties_doctors={2: 0.5})
-    winner = make_doctor(1, research_ability=0.6, social_ties_doctors={9: 0.9})
+    loser = make_doctor(0, research_ability=0.2, social_ties_doctors=[0.0, 0.25, 0.5])
+    winner = make_doctor(1, research_ability=0.6, social_ties_doctors=[0.75, 0.0, 1.0])
     evo.crossover_doctor(loser, winner, StubRng(chance=[True]))
     assert loser.research_ability == pytest.approx(0.4, abs=1e-12)
-    assert loser.social_ties_doctors[2] == 0.5
+    assert loser.social_ties_doctors == [0.0, 0.25, 0.75]
 
     pat_loser = make_patient(0, cred_weight=0.2, mean_rating_weight=0.3, past_rating_weight=0.5)
     pat_winner = make_patient(1, cred_weight=0.4, mean_rating_weight=0.1, past_rating_weight=0.5)
@@ -337,11 +339,11 @@ def _credential_rank(doctor):
 
 def _check_world(doctors, patients, credential_ranks):
     for doctor in doctors:
-        check_doctor_invariants(doctor)
+        check_doctor_invariants(doctor, len(doctors), len(patients))
         assert _credential_rank(doctor) >= credential_ranks[doctor.doctor_id]
         credential_ranks[doctor.doctor_id] = _credential_rank(doctor)
     for patient in patients:
-        check_patient_invariants(patient)
+        check_patient_invariants(patient, len(doctors), len(patients))
 
 
 def _evolve_battery(model, steps, seed):

@@ -6,18 +6,16 @@ from hypothesis import given, settings, strategies as st
 from caresim import Credential, ModelKind, RngStream, init_doctor, init_patient
 from support import check_doctor_invariants, check_patient_invariants
 
-DOCTOR_IDS = list(range(4))
-PATIENT_IDS = list(range(6))
+NUM_DOCTORS = 4
+NUM_PATIENTS = 6
 
 
 def fresh_doctor(seed, model=ModelKind.CLASSICAL, doctor_id=0):
-    peers = [d for d in DOCTOR_IDS if d != doctor_id]
-    return init_doctor(doctor_id, RngStream(seed), model, peers, PATIENT_IDS)
+    return init_doctor(doctor_id, RngStream(seed), model, NUM_DOCTORS, NUM_PATIENTS)
 
 
 def fresh_patient(seed, model=ModelKind.CLASSICAL, patient_id=0):
-    peers = [p for p in PATIENT_IDS if p != patient_id]
-    return init_patient(patient_id, RngStream(seed), model, DOCTOR_IDS, peers)
+    return init_patient(patient_id, RngStream(seed), model, NUM_DOCTORS, NUM_PATIENTS)
 
 
 def test_doctor_draw_ranges():
@@ -34,19 +32,20 @@ def test_doctor_draw_ranges():
 
 def test_classical_doctor_has_no_social_state():
     doctor = fresh_doctor(3)
-    assert doctor.social_ties_doctors == {}
-    assert doctor.social_ties_patients == {}
-    assert doctor.respect_for_colleagues == {}
+    assert doctor.social_ties_doctors == []
+    assert doctor.social_ties_patients == []
+    assert doctor.respect_for_colleagues == []
     assert doctor.confidence == 0.0
 
 
 def test_css_doctor_social_state():
-    doctor = fresh_doctor(3, ModelKind.CSS)
-    assert set(doctor.social_ties_doctors) == {1, 2, 3}
-    assert set(doctor.social_ties_patients) == set(PATIENT_IDS)
-    assert all(0.0 <= s <= 1.0 for s in doctor.social_ties_doctors.values())
-    assert all(0.0 <= s <= 1.0 for s in doctor.social_ties_patients.values())
-    assert doctor.respect_for_colleagues == {1: 0.0, 2: 0.0, 3: 0.0}
+    doctor = fresh_doctor(3, ModelKind.CSS, doctor_id=1)
+    assert len(doctor.social_ties_doctors) == NUM_DOCTORS
+    assert doctor.social_ties_doctors[1] == 0.0
+    assert all(0.0 < s < 1.0 for i, s in enumerate(doctor.social_ties_doctors) if i != 1)
+    assert len(doctor.social_ties_patients) == NUM_PATIENTS
+    assert all(0.0 <= s <= 1.0 for s in doctor.social_ties_patients)
+    assert doctor.respect_for_colleagues == [0.0] * NUM_DOCTORS
     assert doctor.confidence == 0.0
     assert doctor.weight_wmrat == 0.5
     assert doctor.weight_mwres == 0.5
@@ -57,9 +56,18 @@ def test_same_seed_same_doctor():
     assert fresh_doctor(42) == fresh_doctor(42)
 
 
-def test_duplicate_doctor_id_rejected():
-    with pytest.raises(ValueError):
-        init_doctor(1, RngStream(0), ModelKind.CLASSICAL, DOCTOR_IDS, PATIENT_IDS)
+def test_doctor_id_outside_population_rejected():
+    for doctor_id in (-1, NUM_DOCTORS):
+        with pytest.raises(ValueError):
+            init_doctor(doctor_id, RngStream(0), ModelKind.CLASSICAL, NUM_DOCTORS, NUM_PATIENTS)
+
+
+def test_css_doctor_draws_peers_in_ascending_id_skipping_self():
+    doctor = fresh_doctor(8, ModelKind.CSS, doctor_id=2)
+    rng = RngStream(8)
+    draws = [rng.random() for _ in range(4 + NUM_DOCTORS - 1 + NUM_PATIENTS)][4:]
+    assert doctor.social_ties_doctors == [*draws[:2], 0.0, draws[2]]
+    assert doctor.social_ties_patients == draws[3:]
 
 
 def test_patient_draw_ranges_and_weight_sum():
@@ -76,19 +84,22 @@ def test_patient_draw_ranges_and_weight_sum():
 
 def test_classical_patient_has_no_ties():
     patient = fresh_patient(5)
-    assert patient.social_ties_doctors == {}
-    assert patient.social_ties_patients == {}
+    assert patient.social_ties_doctors == []
+    assert patient.social_ties_patients == []
 
 
 def test_css_patient_ties_cover_everyone_else():
     patient = fresh_patient(5, ModelKind.CSS, patient_id=2)
-    assert set(patient.social_ties_doctors) == set(DOCTOR_IDS)
-    assert set(patient.social_ties_patients) == {0, 1, 3, 4, 5}
+    rng = RngStream(5)
+    draws = [rng.random() for _ in range(5 + NUM_DOCTORS + NUM_PATIENTS - 1)][5:]
+    assert patient.social_ties_doctors == draws[:NUM_DOCTORS]
+    assert patient.social_ties_patients == [*draws[4:6], 0.0, *draws[6:]]
 
 
-def test_duplicate_patient_id_rejected():
-    with pytest.raises(ValueError):
-        init_patient(2, RngStream(0), ModelKind.CLASSICAL, DOCTOR_IDS, PATIENT_IDS)
+def test_patient_id_outside_population_rejected():
+    for patient_id in (-1, NUM_PATIENTS):
+        with pytest.raises(ValueError):
+            init_patient(patient_id, RngStream(0), ModelKind.CLASSICAL, NUM_DOCTORS, NUM_PATIENTS)
 
 
 def test_past_weight_expectation_monte_carlo():
@@ -108,7 +119,7 @@ def test_past_weight_expectation_monte_carlo():
     rng = RngStream(2024)
     total = 0.0
     for _ in range(10_000):
-        patient = init_patient(0, rng, ModelKind.CLASSICAL, DOCTOR_IDS, [1])
+        patient = init_patient(0, rng, ModelKind.CLASSICAL, NUM_DOCTORS, 2)
         total += patient.past_rating_weight
     assert abs(total / 10_000 - oracle) <= 0.02
 
@@ -120,8 +131,8 @@ def _three_se(lo, hi, n):
 def test_initialization_statistics_within_three_standard_errors():
     n = 10_000
     rng = RngStream(77)
-    doctors = [init_doctor(0, rng, ModelKind.CLASSICAL, [1], [0]) for _ in range(n)]
-    patients = [init_patient(0, rng, ModelKind.CLASSICAL, [0], [1]) for _ in range(n)]
+    doctors = [init_doctor(0, rng, ModelKind.CLASSICAL, 2, 1) for _ in range(n)]
+    patients = [init_patient(0, rng, ModelKind.CLASSICAL, 1, 2) for _ in range(n)]
     fields = [
         ([d.research_ability for d in doctors], 0.2, 0.6),
         ([d.empathy for d in doctors], 0.2, 0.7),
@@ -136,5 +147,5 @@ def test_initialization_statistics_within_three_standard_errors():
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(list(ModelKind)))
 def test_initialization_satisfies_invariants(seed, model):
-    check_doctor_invariants(fresh_doctor(seed, model))
-    check_patient_invariants(fresh_patient(seed, model))
+    check_doctor_invariants(fresh_doctor(seed, model), NUM_DOCTORS, NUM_PATIENTS)
+    check_patient_invariants(fresh_patient(seed, model), NUM_DOCTORS, NUM_PATIENTS)

@@ -22,10 +22,11 @@ from support import StubRng, make_doctor, make_patient
 
 
 def trio():
-    d0 = make_doctor(0, social_ties_doctors={1: 0.5, 2: 0.5}, social_ties_patients={})
-    d1 = make_doctor(1, social_ties_doctors={0: 0.5, 2: 0.5}, social_ties_patients={})
-    d2 = make_doctor(2, social_ties_doctors={0: 0.5, 1: 0.5}, social_ties_patients={})
-    return d0, d1, d2
+    return tuple(
+        make_doctor(i, social_ties_doctors=[0.0 if j == i else 0.5 for j in range(3)],
+                    respect_for_colleagues=[0.0] * 3)
+        for i in range(3)
+    )
 
 
 def test_round_to_tenth_half_away_from_zero():
@@ -42,22 +43,23 @@ def test_mean_weighted_respects_hand_cases():
     d2.respect_for_colleagues[0] = 4.0
     assert mean_weighted_respects(d0, [d0, d1, d2]) == pytest.approx(3.0, abs=1e-9)
 
-    d0.social_ties_doctors = {1: 0.0, 2: 0.0}
+    d0.social_ties_doctors = [0.0, 0.0, 0.0]
     assert mean_weighted_respects(d0, [d0, d1, d2]) == 0.0
 
-    solo = make_doctor(0, social_ties_doctors={1: 0.3})
-    other = make_doctor(1, respect_for_colleagues={0: 1.7})
+    solo = make_doctor(0, social_ties_doctors=[0.0, 0.3], respect_for_colleagues=[0.0, 0.0])
+    other = make_doctor(1, respect_for_colleagues=[1.7, 0.0])
     assert mean_weighted_respects(solo, [solo, other]) == pytest.approx(1.7, abs=1e-9)
 
 
 def test_update_respect_for_colleagues_hand_cases():
     ledger = RatingLedger()
-    ledger.add_rating(1, 10, 5)
-    ledger.add_rating(1, 11, 3)
+    ledger.add_rating(1, 0, 5)
+    ledger.add_rating(1, 1, 3)
     evaluator = make_doctor(
         0,
-        social_ties_doctors={1: 0.5, 2: 0.0},
-        social_ties_patients={10: 0.5, 11: 0.5},
+        social_ties_doctors=[0.0, 0.5, 0.0],
+        social_ties_patients=[0.5, 0.5],
+        respect_for_colleagues=[0.0] * 3,
     )
     colleague = make_doctor(1, credential=Credential.MEDIUM)
     stranger = make_doctor(2, credential=Credential.HIGH)
@@ -68,7 +70,8 @@ def test_update_respect_for_colleagues_hand_cases():
 
 
 def test_respect_for_unrated_colleague_uses_credential_only():
-    evaluator = make_doctor(0, social_ties_doctors={1: 0.4}, social_ties_patients={5: 1.0})
+    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.4], social_ties_patients=[1.0],
+                            respect_for_colleagues=[0.0, 0.0])
     colleague = make_doctor(1, credential=Credential.HIGH)
     update_respect_for_colleagues(evaluator, [evaluator, colleague], RatingLedger())
     assert evaluator.respect_for_colleagues[1] == pytest.approx(0.4 * 0.3, abs=1e-9)
@@ -76,24 +79,25 @@ def test_respect_for_unrated_colleague_uses_credential_only():
 
 def test_update_confidence_combines_both_parts():
     ledger = RatingLedger()
-    ledger.add_rating(0, 10, 4)
-    doctor = make_doctor(0, social_ties_patients={10: 0.8}, social_ties_doctors={1: 1.0},
-                         weight_wmrat=0.5, weight_mwres=0.5)
-    peer = make_doctor(1, respect_for_colleagues={0: 2.0})
+    ledger.add_rating(0, 0, 4)
+    doctor = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
+                         respect_for_colleagues=[0.0, 0.0], weight_wmrat=0.5, weight_mwres=0.5)
+    peer = make_doctor(1, respect_for_colleagues=[2.0, 0.0])
     update_confidence(doctor, ledger, [doctor, peer])
     assert doctor.confidence == pytest.approx(0.5 * 4.0 + 0.5 * 2.0, abs=1e-9)
 
-    silent = make_doctor(0, social_ties_patients={}, social_ties_doctors={})
+    silent = make_doctor(0, social_ties_patients=[0.0], social_ties_doctors=[0.0],
+                         respect_for_colleagues=[0.0])
     update_confidence(silent, RatingLedger(), [silent])
     assert silent.confidence == 0.0
 
 
 def test_update_confidence_projection():
     ledger = RatingLedger()
-    ledger.add_rating(0, 10, 4)
-    doctor = make_doctor(0, social_ties_patients={10: 0.8}, social_ties_doctors={1: 1.0},
-                         weight_wmrat=1.0, weight_mwres=0.0)
-    peer = make_doctor(1, respect_for_colleagues={0: 2.0})
+    ledger.add_rating(0, 0, 4)
+    doctor = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
+                         respect_for_colleagues=[0.0, 0.0], weight_wmrat=1.0, weight_mwres=0.0)
+    peer = make_doctor(1, respect_for_colleagues=[2.0, 0.0])
     update_confidence(doctor, ledger, [doctor, peer])
     assert doctor.confidence == pytest.approx(4.0, abs=1e-9)
 
@@ -121,7 +125,8 @@ def test_effectiveness_css_always_capped(credential, empathy, trc, confidence):
 
 
 def test_judge_css_all_ties_zero_leaves_past_term():
-    patient = make_patient(1, past_rating_weight=0.6, cred_weight=0.2, mean_rating_weight=0.2)
+    patient = make_patient(1, past_rating_weight=0.6, cred_weight=0.2, mean_rating_weight=0.2,
+                           social_ties_doctors=[0.0], social_ties_patients=[0.0] * 3)
     doctor = make_doctor(0, credential=Credential.HIGH)
     ledger = RatingLedger()
     ledger.add_rating(0, 1, 4)
@@ -132,8 +137,8 @@ def test_judge_css_all_ties_zero_leaves_past_term():
 def test_judge_css_hand_case():
     patient = make_patient(
         1,
-        social_ties_doctors={0: 0.5},
-        social_ties_patients={2: 0.5, 3: 0.5},
+        social_ties_doctors=[0.5],
+        social_ties_patients=[0.0, 0.0, 0.5, 0.5],
     )
     doctor = make_doctor(0, credential=Credential.HIGH)
     ledger = RatingLedger()
@@ -145,8 +150,8 @@ def test_judge_css_hand_case():
 
 
 def test_judge_css_zero_tie_peer_contributes_nothing():
-    patient = make_patient(1, social_ties_doctors={0: 0.5},
-                           social_ties_patients={2: 0.5, 3: 0.0})
+    patient = make_patient(1, social_ties_doctors=[0.5],
+                           social_ties_patients=[0.0, 0.0, 0.5, 0.0])
     doctor = make_doctor(0, credential=Credential.HIGH)
     with_peer = RatingLedger()
     with_peer.add_rating(0, 2, 5)
@@ -160,13 +165,13 @@ def test_judge_css_zero_tie_peer_contributes_nothing():
 
 def test_rate_css_hand_cases():
     doctor = make_doctor(0)
-    perfect = make_patient(1, health_level=0.8, social_ties_doctors={0: 1.0})
+    perfect = make_patient(1, health_level=0.8, social_ties_doctors=[1.0])
     assert rate_doctor_css(perfect, doctor) == 5.0
 
-    partial = make_patient(1, health_level=0.4, social_ties_doctors={0: 0.5})
+    partial = make_patient(1, health_level=0.4, social_ties_doctors=[0.5])
     assert rate_doctor_css(partial, doctor) == pytest.approx(2.6)
 
-    untied = make_patient(1, health_level=0.4, social_ties_doctors={0: 0.0})
+    untied = make_patient(1, health_level=0.4, social_ties_doctors=[0.0])
     assert rate_doctor_css(untied, doctor) == pytest.approx(round_to_tenth(2.5))
 
 
@@ -175,7 +180,7 @@ def test_rate_css_monotone_in_tie_and_tenth_stepped():
     previous = 0.0
     for i in range(11):
         strength = i / 10
-        patient = make_patient(1, health_level=0.5, social_ties_doctors={0: strength})
+        patient = make_patient(1, health_level=0.5, social_ties_doctors=[strength])
         rating = rate_doctor_css(patient, doctor)
         assert 0.0 <= rating <= 5.0
         assert round(rating * 10) == pytest.approx(rating * 10, abs=1e-9)
@@ -188,7 +193,7 @@ def test_receive_treatment_css_records_and_returns_rating():
                          technological_resource_constraint=0.5, confidence=0.0)
     patient = make_patient(
         1, health_level=0.4, resilience=0.2, is_infected=True,
-        social_ties_doctors={3: 1.0},
+        social_ties_doctors=[0.0, 0.0, 0.0, 1.0],
     )
     patient.infected_order = 0
     ledger = RatingLedger()
@@ -205,9 +210,10 @@ def test_zero_ties_reduce_css_to_classical():
     # With every tie strength at zero the css operations coincide with the
     # classical ones, save for rating granularity.
     doctor = make_doctor(0, credential=Credential.MEDIUM, empathy=0.45,
-                         technological_resource_constraint=0.35,
-                         social_ties_doctors={}, social_ties_patients={})
-    peer = make_doctor(1, social_ties_doctors={0: 0.0}, social_ties_patients={})
+                         technological_resource_constraint=0.35, social_ties_doctors=[0.0, 0.0],
+                         social_ties_patients=[0.0] * 5, respect_for_colleagues=[0.0, 0.0])
+    peer = make_doctor(1, social_ties_doctors=[0.0, 0.0], social_ties_patients=[0.0] * 5,
+                       respect_for_colleagues=[0.0, 0.0])
     ledger = RatingLedger()
     ledger.add_rating(0, 4, 3)
     update_respect_for_colleagues(peer, [peer, doctor], ledger)
@@ -216,7 +222,7 @@ def test_zero_ties_reduce_css_to_classical():
     # (0.2 + 0.45 + 0.0) x (1 - 0.35), the classical value.
     assert treatment_effectiveness(doctor) == pytest.approx(0.4225, abs=1e-12)
     for health in (0.15, 0.43, 0.79, 0.8, 1.0):
-        css_patient = make_patient(1, health_level=health)
+        css_patient = make_patient(1, health_level=health, social_ties_doctors=[0.0, 0.0])
         classical_patient = make_patient(1, health_level=health)
         css_rating = rate_doctor_css(css_patient, doctor)
         base_rating = rate_doctor(classical_patient, doctor)
@@ -226,26 +232,27 @@ def test_zero_ties_reduce_css_to_classical():
 
 @settings(max_examples=60)
 @given(
-    st.dictionaries(st.integers(0, 8), st.floats(0.01, 1, allow_nan=False), min_size=1, max_size=6),
+    st.lists(st.floats(0.01, 1, allow_nan=False), min_size=1, max_size=9),
     st.floats(min_value=0.05, max_value=20, allow_nan=False),
 )
 def test_weighted_means_invariant_under_tie_scaling(ties, scale):
     ledger = RatingLedger()
-    for pid in ties:
+    for pid in range(len(ties)):
         ledger.add_rating(0, pid, (pid % 6))
-    doctor = make_doctor(0, social_ties_patients=dict(ties),
-                         social_ties_doctors={1: 0.5}, weight_wmrat=1.0, weight_mwres=0.0)
+    doctor = make_doctor(0, social_ties_patients=list(ties), social_ties_doctors=[0.0, 0.5],
+                         respect_for_colleagues=[0.0, 0.0], weight_wmrat=1.0, weight_mwres=0.0)
     update_confidence(doctor, ledger, [doctor])
     baseline = doctor.confidence
-    doctor.social_ties_patients = {k: v * scale for k, v in ties.items()}
+    doctor.social_ties_patients = [v * scale for v in ties]
     update_confidence(doctor, ledger, [doctor])
     assert doctor.confidence == pytest.approx(baseline, abs=1e-9)
 
 
 def test_respect_nonnegative_and_zero_when_untied():
     ledger = RatingLedger()
-    ledger.add_rating(1, 5, 5)
-    evaluator = make_doctor(0, social_ties_doctors={1: 0.0}, social_ties_patients={5: 1.0})
+    ledger.add_rating(1, 0, 5)
+    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.0], social_ties_patients=[1.0],
+                            respect_for_colleagues=[0.0, 0.0])
     colleague = make_doctor(1, credential=Credential.HIGH)
     update_respect_for_colleagues(evaluator, [evaluator, colleague], ledger)
     assert evaluator.respect_for_colleagues[1] == 0.0
@@ -254,14 +261,13 @@ def test_respect_nonnegative_and_zero_when_untied():
 # A sweep recomputes every respect value from the current ratings, ties
 # and credentials, however those changed since the last sweep (new
 # ratings, tie edits, GA variation, an elite restore); these tests compare
-# every respect value, exactly, against a direct recomputation.
+# every respect value, exactly, against a direct recomputation (the own
+# slot's zero tie gives the 0.0 it must hold).
 
 def assert_respect_fresh(doctors, ledger):
     for doctor in doctors:
         for colleague in doctors:
-            if colleague.doctor_id == doctor.doctor_id:
-                continue
-            strength = doctor.social_ties_doctors.get(colleague.doctor_id, 0.0)
+            strength = doctor.social_ties_doctors[colleague.doctor_id]
             valuation = ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
             expected = strength * (TREATMENT_FACTOR[colleague.credential] + valuation)
             assert doctor.respect_for_colleagues[colleague.doctor_id] == expected
@@ -273,8 +279,9 @@ def rated_clinic():
         make_doctor(
             i,
             credential=credential,
-            social_ties_doctors={j: 0.3 + 0.2 * j for j in range(3) if j != i},
-            social_ties_patients={p: 0.1 + 0.15 * ((p + i) % 4) for p in range(4)},
+            social_ties_doctors=[0.0 if j == i else 0.3 + 0.2 * j for j in range(3)],
+            social_ties_patients=[0.1 + 0.15 * ((p + i) % 4) for p in range(4)],
+            respect_for_colleagues=[0.0] * 3,
         )
         for i, credential in enumerate((Credential.LOW, Credential.MEDIUM, Credential.HIGH))
     ]
@@ -358,7 +365,7 @@ def test_respect_follows_in_place_tie_edit():
 
 def test_respect_follows_tie_map_replacement():
     doctors, ledger = rated_clinic()
-    doctors[2].social_ties_patients = {p: 1.0 - 0.2 * p for p in range(4)}
+    doctors[2].social_ties_patients = [1.0 - 0.2 * p for p in range(4)]
     engine.refresh_social_perception(doctors, ledger)
     assert_respect_fresh(doctors, ledger)
 

@@ -162,26 +162,28 @@ def test_metrics_stay_within_trait_bounds():
 
 def test_invariants_hold_after_full_run():
     for model in ("classical", "css"):
-        result = run_simulation(small_config(model), 31)
+        cfg = small_config(model)
+        sizes = (cfg.num_doctors, cfg.num_patients)
+        result = run_simulation(cfg, 31)
         for doctor in result.doctors:
-            check_doctor_invariants(doctor)
+            check_doctor_invariants(doctor, *sizes)
             if model == "classical":
                 # The shared effectiveness formula adds confidence, and the
                 # shared crossover averages weights and ties, so a classical
                 # doctor must never hold confidence or ties, and its weights
                 # must stay at 0.5.
                 assert doctor.confidence == 0.0
-                assert doctor.social_ties_doctors == {}
-                assert doctor.social_ties_patients == {}
-                assert doctor.respect_for_colleagues == {}
+                assert doctor.social_ties_doctors == []
+                assert doctor.social_ties_patients == []
+                assert doctor.respect_for_colleagues == []
                 assert (doctor.weight_wmrat, doctor.weight_mwres) == (0.5, 0.5)
         for patient in result.patients:
-            check_patient_invariants(patient)
+            check_patient_invariants(patient, *sizes)
             if model == "classical":
                 # The shared patient mutation skips the tie step (and its
                 # draw) only for a patient without ties.
-                assert patient.social_ties_doctors == {}
-                assert patient.social_ties_patients == {}
+                assert patient.social_ties_doctors == []
+                assert patient.social_ties_patients == []
 
 
 def test_snapshots_follow_interval():

@@ -127,8 +127,9 @@ def test_mutate_classical_overdraw_clamped_to_resource():
 
 def css_doctor(**overrides):
     return make_doctor(
-        social_ties_doctors={1: 0.5, 2: 0.5},
-        social_ties_patients={0: 0.5},
+        social_ties_doctors=[0.0, 0.5, 0.5],
+        social_ties_patients=[0.5],
+        respect_for_colleagues=[0.0] * 3,
         **overrides,
     )
 
@@ -173,17 +174,32 @@ def test_mutate_css_tie_bucket_picks_single_doctor_tie():
     doctor = css_doctor()
     stub = StubRng(uniform=[0.04], random=[0.9, 0.4], sign=[1], choice_index=[1])
     mutate_doctor_css(doctor, RatingLedger(), stub)
+    assert doctor.social_ties_doctors[:2] == [0.0, 0.5]
     assert doctor.social_ties_doctors[2] == pytest.approx(0.52, abs=1e-12)
-    assert doctor.social_ties_doctors[1] == 0.5
     assert doctor.social_ties_patients[0] == 0.5
 
 
-def test_mutate_css_tie_bucket_empty_maps_is_noop():
-    doctor = make_doctor(social_ties_doctors={}, social_ties_patients={})
-    before = copy.deepcopy(doctor)
-    stub = StubRng(uniform=[0.04], random=[0.9, 0.4], sign=[])
+def test_mutate_css_doctor_tie_index_skips_own_id():
+    # The draw indexes the peers only: for doctor 1 of 3, index 0 is
+    # doctor 0 and index 1 is doctor 2.
+    for index, peer in ((0, 0), (1, 2)):
+        doctor = make_doctor(1, social_ties_doctors=[0.5, 0.0, 0.5], social_ties_patients=[0.5])
+        stub = StubRng(uniform=[0.04], random=[0.9, 0.4], sign=[1], choice_index=[index])
+        mutate_doctor_css(doctor, RatingLedger(), stub)
+        expected = [0.5, 0.0, 0.5]
+        expected[peer] = pytest.approx(0.52, abs=1e-12)
+        assert doctor.social_ties_doctors == expected
+
+
+def test_mutate_css_lone_doctor_falls_back_to_patient_ties():
+    # A doctor without peers holds only its own slot, so the doctor-tie
+    # pick falls through to a patient tie.
+    doctor = make_doctor(social_ties_doctors=[0.0], social_ties_patients=[0.5, 0.5],
+                         respect_for_colleagues=[0.0])
+    stub = StubRng(uniform=[0.04], random=[0.9, 0.4], sign=[1], choice_index=[1])
     mutate_doctor_css(doctor, RatingLedger(), stub)
-    assert doctor == before
+    assert doctor.social_ties_doctors == [0.0]
+    assert doctor.social_ties_patients == [0.5, pytest.approx(0.52, abs=1e-12)]
 
 
 # --- patient mutation ---
@@ -203,7 +219,7 @@ def test_mutate_patient_weight_clamped_when_delta_goes_negative():
     patient = make_patient(cred_weight=0.01, mean_rating_weight=0.5, past_rating_weight=0.49)
     stub = StubRng(uniform=[-0.03, 0.0])
     mutate_patient(patient, stub)
-    check_patient_invariants(patient)
+    check_patient_invariants(patient, 1, 1)
     assert patient.cred_weight == 0.0
 
 
@@ -220,19 +236,30 @@ def test_mutate_patient_without_ties_draws_only_weights_and_resilience():
     stub = StubRng(uniform=[0.01, 0.0])
     mutate_patient(patient, stub)
     assert stub._uniform == []
-    assert patient.social_ties_doctors == {}
-    assert patient.social_ties_patients == {}
+    assert patient.social_ties_doctors == []
+    assert patient.social_ties_patients == []
 
 
 def test_mutate_patient_css_perturbs_every_tie_of_one_class():
     patient = make_patient(
-        social_ties_doctors={0: 0.5, 1: 0.5},
-        social_ties_patients={2: 0.5, 3: 0.5},
+        social_ties_doctors=[0.5, 0.5],
+        social_ties_patients=[0.0, 0.5, 0.5],
     )
     stub = StubRng(uniform=[0.01, 0.0, 0.1, -0.1], random=[0.3])
     mutate_patient(patient, stub)
-    assert patient.social_ties_doctors == pytest.approx({0: 0.6, 1: 0.4})
-    assert patient.social_ties_patients == {2: 0.5, 3: 0.5}
+    assert patient.social_ties_doctors == pytest.approx([0.6, 0.4])
+    assert patient.social_ties_patients == [0.0, 0.5, 0.5]
+
+
+def test_mutate_patient_peer_ties_skip_own_slot():
+    # One uniform per peer, in ascending id; none for the own slot.
+    patient = make_patient(1, social_ties_doctors=[0.5], social_ties_patients=[0.5, 0.0, 0.5])
+    stub = StubRng(uniform=[0.01, 0.0, 0.1, -0.1], random=[0.7])
+    mutate_patient(patient, stub)
+    assert stub._uniform == []
+    assert patient.social_ties_doctors == [0.5]
+    assert patient.social_ties_patients == pytest.approx([0.6, 0.0, 0.4])
+    assert patient.social_ties_patients[1] == 0.0
 
 
 @settings(max_examples=80)
@@ -241,11 +268,11 @@ def test_mutate_patient_preserves_invariants(seed):
     rng = RngStream(seed)
     patient = make_patient(
         cred_weight=0.2, mean_rating_weight=0.3, past_rating_weight=0.5,
-        social_ties_doctors={0: 0.5, 1: 0.9}, social_ties_patients={2: 0.1},
+        social_ties_doctors=[0.5, 0.9], social_ties_patients=[0.0, 0.3, 0.1],
     )
     for _ in range(25):
         mutate_patient(patient, rng)
-        check_patient_invariants(patient)
+        check_patient_invariants(patient, 2, 3)
 
 
 # --- crossover ---
@@ -254,17 +281,47 @@ def test_crossover_doctor_averages_toward_winner():
     loser = css_doctor(research_ability=0.2, empathy=0.3)
     winner = make_doctor(
         1, research_ability=0.6, empathy=0.5, weight_wmrat=0.9, weight_mwres=0.1,
-        social_ties_doctors={1: 0.9, 9: 0.9}, social_ties_patients={0: 0.1},
+        social_ties_doctors=[0.9, 0.0, 0.9], social_ties_patients=[0.1],
     )
     before_winner = copy.deepcopy(winner)
     crossover_doctor(loser, winner, StubRng(chance=[True]))
     assert loser.research_ability == pytest.approx(0.4, abs=1e-12)
     assert loser.empathy == pytest.approx(0.4, abs=1e-12)
     assert loser.weight_wmrat == pytest.approx(0.7, abs=1e-12)
-    assert loser.social_ties_doctors[1] == pytest.approx(0.7, abs=1e-12)
-    assert loser.social_ties_doctors[2] == 0.5  # absent from winner: unchanged
+    assert loser.social_ties_doctors[:2] == [0.0, 0.5]  # own and winner slots
+    assert loser.social_ties_doctors[2] == pytest.approx(0.7, abs=1e-12)
     assert loser.social_ties_patients[0] == pytest.approx(0.3, abs=1e-12)
     assert winner == before_winner
+
+
+def test_same_kind_crossover_keeps_own_and_winner_slots():
+    # The loser's tie to the winner stays (the winner holds no tie to
+    # itself), and so does the loser's own 0.0 slot.
+    loser = make_doctor(2, social_ties_doctors=[0.25, 0.5, 0.0], social_ties_patients=[0.0, 1.0])
+    winner = make_doctor(0, social_ties_doctors=[0.0, 1.0, 0.75], social_ties_patients=[0.5, 0.5])
+    crossover_doctor(loser, winner, StubRng(chance=[True]))
+    assert loser.social_ties_doctors == [0.25, 0.75, 0.0]
+    assert loser.social_ties_patients == [0.25, 0.75]
+
+    pat_loser = make_patient(1, social_ties_doctors=[0.0, 1.0],
+                             social_ties_patients=[0.5, 0.0, 0.25])
+    pat_winner = make_patient(2, social_ties_doctors=[0.5, 0.5],
+                              social_ties_patients=[1.0, 0.75, 0.0])
+    crossover_patient(pat_loser, pat_winner, StubRng(chance=[True]))
+    assert pat_loser.social_ties_doctors == [0.25, 0.75]
+    assert pat_loser.social_ties_patients == [0.75, 0.0, 0.25]
+
+
+def test_crossover_with_itself_changes_no_tie():
+    # With tournament size 1 the winner is the loser.
+    doctor = css_doctor()
+    before = copy.deepcopy(doctor)
+    crossover_doctor(doctor, doctor, StubRng(chance=[True]))
+    assert doctor == before
+    patient = make_patient(1, social_ties_doctors=[0.3], social_ties_patients=[0.7, 0.0])
+    before = copy.deepcopy(patient)
+    crossover_patient(patient, patient, StubRng(chance=[True]))
+    assert patient == before
 
 
 def test_crossover_doctor_inner_chance_can_skip():
@@ -281,8 +338,8 @@ def test_crossover_doctor_without_ties_keeps_half_weights():
     crossover_doctor(loser, winner, StubRng(chance=[True]))
     assert loser.research_ability == pytest.approx(0.4, abs=1e-12)
     assert (loser.weight_wmrat, loser.weight_mwres) == (0.5, 0.5)
-    assert loser.social_ties_doctors == {}
-    assert loser.social_ties_patients == {}
+    assert loser.social_ties_doctors == []
+    assert loser.social_ties_patients == []
 
 
 def test_crossover_patient_hand_case():
@@ -311,8 +368,8 @@ def test_crossover_patient_identical_parents_change_nothing():
 def test_crossover_moves_loser_strictly_toward_winner(r1, r2, a1, a2):
     loser = make_patient(0, resilience=r1)
     winner = make_patient(1, resilience=r2)
-    loser.social_ties_doctors = {0: a1}
-    winner.social_ties_doctors = {0: a2}
+    loser.social_ties_doctors = [a1]
+    winner.social_ties_doctors = [a2]
     gap_before = abs(loser.resilience - winner.resilience)
     tie_gap_before = abs(a1 - a2)
     crossover_patient(loser, winner, StubRng(chance=[True]))
@@ -386,8 +443,9 @@ def test_evolve_is_pure_function_of_seed():
     ledger = rated_ledger(0, 3)
     for i in range(1, 6):
         ledger.add_rating(i, 0, (i * 2) % 6)
-    make_population = lambda: [css_doctor() if i == 0 else make_doctor(
-        i, social_ties_doctors={0: 0.5}, social_ties_patients={0: 0.5}) for i in range(6)]
+    make_population = lambda: [make_doctor(
+        i, social_ties_doctors=[0.0 if j == i else 0.2 + 0.1 * j for j in range(6)],
+        social_ties_patients=[0.5], respect_for_colleagues=[0.0] * 6) for i in range(6)]
     results = []
     for _ in range(2):
         doctors = make_population()

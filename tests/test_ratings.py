@@ -61,17 +61,18 @@ def test_recent_feedback_is_per_doctor():
 
 def test_mean_weighted_ratings_hand_cases():
     ledger = ledger_with((1, 1, 5), (1, 2, 3))
-    assert ledger.mean_weighted_ratings(1, {1: 0.5, 2: 0.5}) == pytest.approx(4.0, abs=1e-9)
-    assert ledger.mean_weighted_ratings(1, {1: 0.0, 2: 0.0}) == 0
-    assert ledger_with((1, 7, 4)).mean_weighted_ratings(1, {7: 0.2}) == pytest.approx(4.0, abs=1e-9)
-    assert RatingLedger().mean_weighted_ratings(1, {1: 1.0}) == 0
+    assert ledger.mean_weighted_ratings(1, [0.0, 0.5, 0.5]) == pytest.approx(4.0, abs=1e-9)
+    assert ledger.mean_weighted_ratings(1, [0.0, 0.0, 0.0]) == 0
+    sparse = ledger_with((1, 7, 4))
+    assert sparse.mean_weighted_ratings(1, [0.0] * 7 + [0.2]) == pytest.approx(4.0, abs=1e-9)
+    assert RatingLedger().mean_weighted_ratings(1, [1.0, 1.0]) == 0
 
 
 def test_weighted_valuation_hand_cases():
     ledger = ledger_with((1, 1, 5), (1, 2, 3))
-    assert ledger.weighted_valuation(1, {1: 0.5, 2: 0.5}) == pytest.approx(4.0, abs=1e-9)
-    assert ledger.weighted_valuation(1, {1: 0.0, 2: 0.0}) == 0
-    assert RatingLedger().weighted_valuation(1, {}) == 0
+    assert ledger.weighted_valuation(1, [0.0, 0.5, 0.5]) == pytest.approx(4.0, abs=1e-9)
+    assert ledger.weighted_valuation(1, [0.0, 0.0, 0.0]) == 0
+    assert RatingLedger().weighted_valuation(1, []) == 0
 
 
 ratings_maps = st.dictionaries(
@@ -87,7 +88,7 @@ def test_equal_strengths_reduce_to_plain_mean(ratings, strength):
     ledger = RatingLedger()
     for patient, rating in ratings.items():
         ledger.add_rating(0, patient, rating)
-    ties = {patient: strength for patient in ratings}
+    ties = [strength] * 31
     assert abs(ledger.mean_weighted_ratings(0, ties) - ledger.mean_rating(0)) <= 1e-12
 
 
@@ -97,14 +98,14 @@ def test_weighted_valuation_linear_in_each_strength(ratings):
     for patient, rating in ratings.items():
         ledger.add_rating(0, patient, rating)
     target = next(iter(ratings))
-    base = {patient: 0.5 for patient in ratings}
-    bumped = dict(base)
+    base = [0.5] * 31
+    bumped = list(base)
     bumped[target] = 0.75
     delta = ledger.weighted_valuation(0, bumped) - ledger.weighted_valuation(0, base)
     assert delta == pytest.approx(0.25 * ratings[target], abs=1e-9)
 
 
-@given(ratings_maps, st.dictionaries(st.integers(0, 30), st.floats(0, 1, allow_nan=False), max_size=12))
+@given(ratings_maps, st.lists(st.floats(0, 1, allow_nan=False), min_size=31, max_size=31))
 def test_aggregate_bounds(ratings, ties):
     ledger = RatingLedger()
     for patient, rating in ratings.items():
