@@ -11,7 +11,7 @@ Ties and respect are lists indexed by peer id.  An agent's own slot is
 Confidence is read only by treatment effectiveness, so the engine
 refreshes respect and confidence for every doctor only in rounds where
 some patient seeks care, before the first treatment: first all respect
-maps are recomputed, then all confidences, so every confidence reads the
+lists are recomputed, then all confidences, so every confidence reads the
 same round's committed respect values.
 """
 

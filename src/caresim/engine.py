@@ -7,7 +7,7 @@ One round (mini-generation) executes, in order:
 3. Sort the patients below the care threshold (the seekers) by triage
    priority, ties by ascending patient id.
 4. css only, and only when there is a seeker: recompute every doctor's
-   respect map, then every doctor's confidence (two passes over
+   respect list, then every doctor's confidence (two passes over
    ascending doctor ids).  Confidence is read only by a treatment, and
    infection changes none of the sweep's inputs, so skipping the sweep
    in rounds without a seeker changes no output.
@@ -149,7 +149,7 @@ def init_run_state(config: SimulationConfig, run_seed: int) -> RunState:
 
 
 def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) -> None:
-    """css sweep before a round's first treatment: all respect maps first,
+    """css sweep before a round's first treatment: all respect lists first,
     then all confidences, so every confidence sees the same committed
     respect values."""
     for doctor in doctors:

@@ -1,4 +1,5 @@
-"""Golden output check: SHA-256 digests of the bytes the CLI writes.
+"""Golden output check: SHA-256 digests of the bytes the CLI writes, and
+of the ``metrics.csv`` text of edge-population configs run as a library.
 
 A seed plus a config fixes every output byte, so a refactor that claims
 to keep behaviour must leave these digests unchanged.  The digests agree
@@ -181,6 +182,9 @@ if __name__ == "__main__":
         except AssertionError as exc:
             failed += 1
             print(f"FAIL {exc}")
+        except Exception as exc:  # a crash in one case must not hide the others
+            failed += 1
+            print(f"FAIL {case[0]}: {type(exc).__name__}: {exc}")
         else:
             print(f"ok   {case[0]}")
     print(f"golden: {len(cases) - failed}/{len(cases)} ok on Python {sys.version.split()[0]}")
