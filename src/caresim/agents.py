@@ -87,7 +87,7 @@ class PatientState:
 
 
 def _peer_ties(self_id: int, size: int, rng: RngStream) -> list[float]:
-    return [0.0 if peer == self_id else rng.uniform(0.0, 1.0) for peer in range(size)]
+    return [0.0 if peer == self_id else rng.random() for peer in range(size)]
 
 
 def init_doctor(
@@ -105,7 +105,7 @@ def init_doctor(
     )
     if model is ModelKind.CSS:
         doctor.social_ties_doctors = _peer_ties(doctor_id, num_doctors, rng)
-        doctor.social_ties_patients = [rng.uniform(0.0, 1.0) for _ in range(num_patients)]
+        doctor.social_ties_patients = [rng.random() for _ in range(num_patients)]
         doctor.respect_for_colleagues = [0.0] * num_doctors
     return doctor
 
@@ -131,6 +131,6 @@ def init_patient(
         past_rating_weight=raw_past / total,
     )
     if model is ModelKind.CSS:
-        patient.social_ties_doctors = [rng.uniform(0.0, 1.0) for _ in range(num_doctors)]
+        patient.social_ties_doctors = [rng.random() for _ in range(num_doctors)]
         patient.social_ties_patients = _peer_ties(patient_id, num_patients, rng)
     return patient

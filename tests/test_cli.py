@@ -76,6 +76,17 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     assert "caresim:" in capsys.readouterr().err
 
 
+def test_unwritable_snapshot_is_runtime_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "network_run000_round0005.json").mkdir(parents=True)
+    code = main(["--preset", "paper-single", "--model", "css", "--seed", "1",
+                 "--snapshot-every", "5", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("caresim: cannot write network snapshot to")
+    assert "network_run000_round0005.json" in err
+
+
 def test_repeated_invocations_are_byte_identical(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -1,6 +1,9 @@
 import csv
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from caresim import (
     ModelKind,
     init_run_state,
@@ -9,7 +12,7 @@ from caresim import (
     run_batch,
 )
 from caresim.config import SimulationConfig
-from caresim.engine import METRIC_FIELDS
+from caresim.engine import METRIC_FIELDS, NetworkSnapshot
 from caresim.reporting import (
     CSV_HEADER,
     export_metrics_csv,
@@ -120,3 +123,39 @@ def test_snapshot_json_shape_and_sorted_keys(tmp_path):
     assert raw == json.dumps(document, sort_keys=True, indent=2) + "\n"
     for edge in document["edges"]:
         assert set(edge) == {"source", "target", "strength"}
+
+
+strengths = st.one_of(st.sampled_from([0.0, 1.0, 1e-06]), st.floats(allow_nan=False, allow_infinity=False))
+snapshots = st.builds(
+    NetworkSnapshot,
+    round_index=st.integers(min_value=0, max_value=2**63),
+    nodes=st.lists(st.tuples(st.text(), st.text()), max_size=8),
+    edges=st.lists(st.tuples(st.text(), st.text(), strengths), max_size=8),
+)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snapshots)
+def test_snapshot_bytes_equal_json_dumps_of_document(tmp_path, snapshot):
+    # The file is rewritten in place for every example.
+    path = tmp_path / "net.json"
+    export_network_snapshot(snapshot, path)
+    document = {
+        "round": snapshot.round_index,
+        "nodes": [{"id": node_id, "kind": kind} for node_id, kind in snapshot.nodes],
+        "edges": [
+            {"source": src, "target": dst, "strength": strength}
+            for src, dst, strength in snapshot.edges
+        ],
+    }
+    expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert load_network_snapshot(path) == snapshot
+
+
+def test_snapshot_to_directory_path_raises_oserror_naming_it(tmp_path):
+    target = tmp_path / "taken.json"
+    target.mkdir()
+    with pytest.raises(OSError, match="cannot write network snapshot to") as info:
+        export_network_snapshot(capture_snapshot(snapshot_state(), 1), target)
+    assert str(target) in str(info.value)

@@ -71,3 +71,11 @@ def test_sample_rejects_oversize():
 def test_index_stays_in_range():
     rng = RngStream(9)
     assert all(0 <= rng.index(3) < 3 for _ in range(500))
+
+
+def test_uniform_zero_one_is_random_bit_for_bit():
+    # 0.0 + (1.0 - 0.0) * u == u exactly, so tie init may draw random().
+    a = RngStream(2024)
+    b = RngStream(2024)
+    for _ in range(10_000):
+        assert a.uniform(0.0, 1.0).hex() == b.random().hex()
