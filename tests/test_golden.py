@@ -94,6 +94,12 @@ GOLDEN = (
 # (case name, SimulationConfig keyword arguments, metrics.csv SHA-256).
 EDGE_CASE = dict(model="css", num_rounds=15, num_repeats=2, num_elites=0, tournament_size=1,
                  mutation_chance=1.0, crossover_chance=1.0, base_seed=3)
+# Three elites and pairwise tournaments: an elite of rank r can lose only
+# when the tournament size is at most r, so elites lose some tournaments
+# (7 of each case's 120) and the elite restore path runs.
+ELITE_LOSES = dict(num_doctors=6, num_patients=30, num_rounds=15, num_infected_per_round=10,
+                   num_repeats=2, num_elites=3, tournament_size=2, mutation_chance=1.0,
+                   crossover_chance=1.0, base_seed=5)
 LIBRARY = (
     (
         "css-one-doctor",
@@ -110,6 +116,16 @@ LIBRARY = (
         dict(EDGE_CASE, num_doctors=2, num_patients=2, num_infected_per_round=2,
              tournaments_per_round=3),
         "78c2948266288d359e915311d8325657a335baf39bb6044d651476ce6b0f1268",
+    ),
+    (
+        "classical-elite-loses-tournament",
+        dict(ELITE_LOSES, model="classical"),
+        "afec86b553138c795ecc158f9f35e098868b38208b1e3af01597c8f5f236fe2b",
+    ),
+    (
+        "css-elite-loses-tournament",
+        dict(ELITE_LOSES, model="css"),
+        "7ce98d254001a9ec9e1bf13f3ca202d26e7b804c476b4315d1ef46bea07d4fe0",
     ),
 )
 
@@ -171,6 +187,14 @@ def test_library_css_one_patient():
 
 def test_library_css_two_by_two_self_tournament():
     check_library(*LIBRARY[2])
+
+
+def test_library_classical_elite_loses_tournament():
+    check_library(*LIBRARY[3])
+
+
+def test_library_css_elite_loses_tournament():
+    check_library(*LIBRARY[4])
 
 
 if __name__ == "__main__":
