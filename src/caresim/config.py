@@ -103,7 +103,7 @@ class SimulationConfig:
             raise ConfigError("snapshot_every must be non-negative")
         if self.snapshot_every > 0 and self.model is not ModelKind.CSS:
             raise ConfigError("network snapshots are only defined for the css model")
-        if self.base_seed < 0:
+        if not 0 <= self.base_seed < 2**64:
             raise ConfigError("base_seed must be a non-negative 64-bit integer")
 
 

@@ -13,8 +13,10 @@ One round (mini-generation) executes, in order:
    in rounds without a seeker changes no output.
 5. Let each seeker in triage order pick a free doctor and be treated;
    seekers who find nobody free are counted as untreated.
-6. Evolve the patient population, then the doctor population.
-7. Compute the round's population metrics.
+6. Score every agent once, then evolve the patient population, then the
+   doctor population, from those scores.
+7. Compute the round's population metrics; the fitness means reuse the
+   scores, since a generation step changes no fitness input.
 
 Health history records post-treatment levels only (the treatment step
 appends them), so patient fitness reads as the mean quality of received
@@ -189,28 +191,19 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
         treat(patient, state.doctors[chosen], state.ledger)  # doctors[i] has id i
         treatments += 1
 
+    rng, ledger = state.rng, state.ledger
+    patient_scores = [fitness_patient(p) for p in state.patients]
+    doctor_scores = [fitness_doctor(d, ledger) for d in state.doctors]
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical
-    evolve_population(
-        state.patients,
-        cfg,
-        fitness_patient,
-        lambda p: mutate_patient(p, state.rng),
-        lambda loser, winner: crossover_patient(loser, winner, state.rng),
-        state.rng,
-    )
-    evolve_population(
-        state.doctors,
-        cfg,
-        lambda d: fitness_doctor(d, state.ledger),
-        lambda d: mutate_doctor(d, state.ledger, state.rng),
-        lambda loser, winner: crossover_doctor(loser, winner, state.rng),
-        state.rng,
-    )
+    evolve_population(state.patients, cfg, patient_scores, lambda p: mutate_patient(p, rng),
+                      lambda loser, winner: crossover_patient(loser, winner, rng), rng)
+    evolve_population(state.doctors, cfg, doctor_scores, lambda d: mutate_doctor(d, ledger, rng),
+                      lambda loser, winner: crossover_doctor(loser, winner, rng), rng)
 
     return RoundMetrics(
         round_index=round_index,
-        doctor_fitness=_mean(fitness_doctor(d, state.ledger) for d in state.doctors),
-        patient_fitness=_mean(fitness_patient(p) for p in state.patients),
+        doctor_fitness=_mean(doctor_scores),
+        patient_fitness=_mean(patient_scores),
         research_ability=_mean(d.research_ability for d in state.doctors),
         empathy=_mean(d.empathy for d in state.doctors),
         weight_wmrat=_mean(d.weight_wmrat for d in state.doctors),

@@ -6,6 +6,9 @@ wins, the least fit loses, and only the loser is (maybe) crossed toward
 the winner and (maybe) mutated.  The top individuals are snapshotted
 before the events and restored verbatim afterwards, so elites survive a
 generation step bit-for-bit even if a tournament picked them as losers.
+Fitness comes from a score table indexed by agent id that the engine
+fills once per round; a step cannot move a score, since variation
+touches neither health nor the ledger and a restored elite is an equal copy.
 
 Draw order per event: tournament sample (k draws), crossover-chance
 uniform, then mutation-chance uniform.  The chance uniforms are drawn
@@ -49,16 +52,17 @@ def fitness_patient(patient: PatientState) -> float:
     return sum(patient.health_history) / len(patient.health_history)
 
 
-def tournament_select(population: list, k: int, fitness: Callable, rng: RngStream):
+def tournament_select(population: list, k: int, scores: list[float], rng: RngStream):
     """Sample ``k`` distinct individuals; return (winner, loser).
 
-    The winner has the highest fitness and the loser the lowest, with
-    ties resolved by sorting on ascending agent id.
+    ``scores[i]`` is the fitness of the agent with id ``i``.  The winner
+    has the highest score and the loser the lowest, with ties resolved by
+    sorting on ascending agent id.
     """
     if k > len(population):
         raise ValueError("tournament size exceeds population")
     entrants = rng.sample(population, k)
-    entrants.sort(key=lambda agent: (-fitness(agent), agent.agent_id))
+    entrants.sort(key=lambda agent: (-scores[agent.agent_id], agent.agent_id))
     return entrants[0], entrants[-1]
 
 
@@ -207,26 +211,24 @@ def crossover_patient(loser: PatientState, winner: PatientState, rng: RngStream)
 def evolve_population(
     population: list,
     cfg: SimulationConfig,
-    fitness: Callable,
+    scores: list[float],
     mutate: Callable,
     crossover: Callable,
     rng: RngStream,
 ) -> None:
     """Run one generation step of tournament events over the population.
 
+    ``population[i]`` has agent id ``i`` and fitness ``scores[i]``.
     ``cfg`` supplies the tournament size, elite count, chances and
     ``cfg.tournaments_for(len(population))`` events.  ``crossover(loser,
     winner)`` and ``mutate(loser)`` are invoked behind their chances; the
-    pre-step top ``num_elites`` individuals (fitness ties by ascending id)
-    are restored verbatim at the end.
+    top ``num_elites`` individuals (score ties by ascending id) are
+    restored verbatim at the end.
     """
-    ranked = sorted(
-        range(len(population)),
-        key=lambda i: (-fitness(population[i]), population[i].agent_id),
-    )
+    ranked = sorted(range(len(population)), key=lambda i: (-scores[i], i))
     snapshots = [(i, copy.deepcopy(population[i])) for i in ranked[: cfg.num_elites]]
     for _ in range(cfg.tournaments_for(len(population))):
-        winner, loser = tournament_select(population, cfg.tournament_size, fitness, rng)
+        winner, loser = tournament_select(population, cfg.tournament_size, scores, rng)
         if rng.chance(cfg.crossover_chance):
             crossover(loser, winner)
         if rng.chance(cfg.mutation_chance):

@@ -248,8 +248,8 @@ def _example_evolution():
     for i, rating in enumerate((2, 5, 1, 4, 3)):
         ledger.add_rating(i, 0, rating)
         doctors.append(make_doctor(i))
-    winner, loser = evo.tournament_select(
-        doctors, 5, lambda d: evo.fitness_doctor(d, ledger), RngStream(3))
+    scores = [evo.fitness_doctor(d, ledger) for d in doctors]
+    winner, loser = evo.tournament_select(doctors, 5, scores, RngStream(3))
     assert (winner.doctor_id, loser.doctor_id) == (1, 2)
 
     low_feedback = make_doctor(research_ability=0.4)
@@ -296,7 +296,7 @@ def _example_evolution():
         frozen,
         ga_config(tournament_size=3, num_elites=1, mutation_chance=0.0,
                   crossover_chance=0.0, tournaments_per_round=10),
-        evo.fitness_patient,
+        [evo.fitness_patient(p) for p in frozen],
         lambda p: evo.mutate_patient(p, RngStream(0)),
         lambda l, w: evo.crossover_patient(l, w, RngStream(0)),
         RngStream(5),
@@ -328,9 +328,8 @@ def test_criterion_1_equation_oracles():
 # Criterion 2: randomized invariant battery.
 # --------------------------------------------------------------------------
 
-def _elite_slot(population, fitness):
-    return min(range(len(population)), key=lambda i: (-fitness(population[i]),
-                                                      population[i].agent_id))
+def _elite_slot(population, scores):
+    return min(range(len(population)), key=lambda i: (-scores[i], population[i].agent_id))
 
 
 def _credential_rank(doctor):
@@ -359,20 +358,21 @@ def _evolve_battery(model, steps, seed):
                                  tournaments_per_round=2)
     css = model is ModelKind.CSS
     mutate_doctor = evo.mutate_doctor_css if css else evo.mutate_doctor_classical
-    doctor_fitness = lambda d: evo.fitness_doctor(d, state.ledger)
     for step in range(steps):
         state.ledger.add_rating(rng.index(8), rng.index(12), float(rng.index(6)))
         if step % 2 == 0:
-            population, fitness = state.patients, evo.fitness_patient
+            population = state.patients
+            scores = [evo.fitness_patient(p) for p in population]
             mutate = lambda p: evo.mutate_patient(p, rng)
             crossover = lambda l, w: evo.crossover_patient(l, w, rng)
         else:
-            population, fitness = state.doctors, doctor_fitness
+            population = state.doctors
+            scores = [evo.fitness_doctor(d, state.ledger) for d in population]
             mutate = lambda d: mutate_doctor(d, state.ledger, rng)
             crossover = lambda l, w: evo.crossover_doctor(l, w, rng)
-        slot = _elite_slot(population, fitness)
+        slot = _elite_slot(population, scores)
         snapshot = copy.deepcopy(population[slot])
-        evo.evolve_population(population, ga_cfg, fitness, mutate, crossover, rng)
+        evo.evolve_population(population, ga_cfg, scores, mutate, crossover, rng)
         assert population[slot] == snapshot, "elite not preserved bitwise"
         _check_world(state.doctors, state.patients, ranks)
 

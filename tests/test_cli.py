@@ -14,6 +14,13 @@ def test_zero_doctors_is_usage_error(capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_seed_beyond_64_bits_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["--preset", "paper-single", "--seed", str(2**64), "--out", str(out)]) == 2
+    assert "base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_sizes_without_preset_is_usage_error(capsys):
     assert main(["--model", "classical"]) == 2
     capsys.readouterr()

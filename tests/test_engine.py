@@ -11,6 +11,7 @@ from caresim import (
 )
 from caresim.config import ConfigError
 from caresim.engine import METRIC_FIELDS, aggregate_rounds
+from caresim.evolution import fitness_doctor, fitness_patient
 from support import check_doctor_invariants, check_patient_invariants
 
 
@@ -64,6 +65,11 @@ def test_invalid_configs_rejected():
     ):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
             small_config("css", **{field: value}).validate()
+    # The RNG masks seeds to 64 bits, so 2**64 would alias seed 0.
+    small_config(base_seed=2**64 - 1).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="base_seed must be a non-negative 64-bit integer"):
+            small_config(base_seed=seed).validate()
 
 
 def test_default_chances_follow_model():
@@ -78,6 +84,23 @@ def test_tournaments_per_round_default_scales_with_population():
     assert cfg.tournaments_for(100) == 10
     assert cfg.tournaments_for(15) == 2
     assert small_config(tournaments_per_round=4).tournaments_for(1000) == 4
+
+
+@pytest.mark.parametrize("model", ["classical", "css"])
+def test_round_fitness_means_match_end_of_round_populations(model):
+    # run_round scores each agent once, before the GA step, and reuses the
+    # scores for the metric means.  That is only sound if neither variation
+    # nor the elite restore moves a fitness input; high chances and pairwise
+    # tournaments against two elites exercise both.
+    cfg = small_config(model, num_rounds=15, num_elites=2, tournament_size=2,
+                       mutation_chance=1.0, crossover_chance=1.0)
+    state = init_run_state(cfg, derive_run_seed(cfg.base_seed, 0))
+    for round_index in range(1, cfg.num_rounds + 1):
+        metrics = run_round(state, round_index)
+        doctor_scores = [fitness_doctor(d, state.ledger) for d in state.doctors]
+        patient_scores = [fitness_patient(p) for p in state.patients]
+        assert metrics.doctor_fitness == sum(doctor_scores) / len(doctor_scores)
+        assert metrics.patient_fitness == sum(patient_scores) / len(patient_scores)
 
 
 def test_round_treatments_bounded_by_doctors():

@@ -48,32 +48,33 @@ def test_tournament_full_population_finds_global_extremes():
     for i, rating in enumerate((2, 5, 1, 4, 3)):
         ledger.add_rating(i, 0, rating)
         doctors.append(make_doctor(i))
-    winner, loser = tournament_select(
-        doctors, 5, lambda d: fitness_doctor(d, ledger), RngStream(3)
-    )
+    scores = [fitness_doctor(d, ledger) for d in doctors]
+    winner, loser = tournament_select(doctors, 5, scores, RngStream(3))
     assert winner.doctor_id == 1
     assert loser.doctor_id == 2
 
 
 def test_tournament_winner_never_equals_loser():
     patients = [make_patient(i, health_history=[0.5]) for i in range(6)]
+    scores = [fitness_patient(p) for p in patients]
     rng = RngStream(11)
     for _ in range(200):
-        winner, loser = tournament_select(patients, 2, fitness_patient, rng)
+        winner, loser = tournament_select(patients, 2, scores, rng)
         assert winner is not loser
 
 
 def test_tournament_ties_break_by_ascending_id():
     patients = [make_patient(i, health_history=[0.5]) for i in range(4)]
+    scores = [fitness_patient(p) for p in patients]
     stub = StubRng(sample=[(2, 0, 3, 1)])
-    winner, loser = tournament_select(patients, 4, fitness_patient, stub)
+    winner, loser = tournament_select(patients, 4, scores, stub)
     assert winner.patient_id == 0
     assert loser.patient_id == 3
 
 
 def test_tournament_rejects_oversized_k():
     with pytest.raises(ValueError):
-        tournament_select([make_patient(0)], 2, fitness_patient, RngStream(0))
+        tournament_select([make_patient(0)], 2, [0.5], RngStream(0))
 
 
 # --- classical doctor mutation ---
@@ -392,7 +393,7 @@ def test_evolve_zero_chances_changes_nothing():
     cfg = ga_config(tournament_size=3, num_elites=1, mutation_chance=0.0,
                     crossover_chance=0.0, tournaments_per_round=20)
     evolve_population(
-        patients, cfg, fitness_patient,
+        patients, cfg, [fitness_patient(p) for p in patients],
         lambda p: mutate_patient(p, RngStream(0)),
         lambda l, w: crossover_patient(l, w, RngStream(0)),
         RngStream(5),
@@ -407,7 +408,7 @@ def test_evolve_full_elitism_changes_nothing():
     cfg = ga_config(tournament_size=3, num_elites=len(patients), mutation_chance=1.0,
                     crossover_chance=1.0, tournaments_per_round=10)
     evolve_population(
-        patients, cfg, fitness_patient,
+        patients, cfg, [fitness_patient(p) for p in patients],
         lambda p: mutate_patient(p, rng),
         lambda l, w: crossover_patient(l, w, rng),
         rng,
@@ -416,27 +417,26 @@ def test_evolve_full_elitism_changes_nothing():
 
 
 def test_evolve_restores_elite_even_when_it_loses_a_tournament():
-    # Fitness follows a mutable trait, so the pre-step best can become a
-    # later tournament's loser; the restore must bring it back verbatim.
-    patients = [make_patient(0, resilience=0.39), make_patient(1, resilience=0.2)]
-    snapshot = copy.deepcopy(patients[0])
+    # With two elites and pairwise tournaments, the second-ranked elite
+    # loses to the first; the restore must bring it back verbatim, while
+    # a mutated non-elite loser keeps its change.
+    patients = [make_patient(i, resilience=0.2) for i in range(3)]
+    before = copy.deepcopy(patients)
     events = []
-
-    def fitness(p):
-        return p.resilience
 
     def mutate(p):
         events.append(p.patient_id)
-        p.resilience = 0.1 if p.patient_id == 0 else 0.4
+        p.resilience = 0.4
 
-    cfg = ga_config(tournament_size=2, num_elites=1, mutation_chance=1.0,
+    cfg = ga_config(tournament_size=2, num_elites=2, mutation_chance=1.0,
                     crossover_chance=0.0, tournaments_per_round=2)
-    stub = StubRng(sample=[(0, 1), (0, 1)], chance=[False, True, False, True])
-    evolve_population(patients, cfg, fitness, mutate, lambda l, w: None, stub)
-    # First event: patient 1 loses and jumps to 0.4; second event: the
-    # elite (patient 0) now loses and is mutated, then restored.
-    assert events == [1, 0]
-    assert patients[0] == snapshot
+    stub = StubRng(sample=[(0, 1), (1, 2)], chance=[False, True, False, True])
+    evolve_population(patients, cfg, [0.9, 0.5, 0.1], mutate, lambda l, w: None, stub)
+    # First event: elite 1 loses to elite 0 and is mutated; second event:
+    # patient 2 loses to elite 1 and is mutated.
+    assert events == [1, 2]
+    assert patients[:2] == before[:2]
+    assert patients[2].resilience == 0.4
 
 
 def test_evolve_is_pure_function_of_seed():
@@ -454,7 +454,7 @@ def test_evolve_is_pure_function_of_seed():
                         crossover_chance=0.7, tournaments_per_round=15)
         evolve_population(
             doctors, cfg,
-            lambda d: fitness_doctor(d, ledger),
+            [fitness_doctor(d, ledger) for d in doctors],
             lambda d: mutate_doctor_css(d, ledger, rng),
             lambda l, w: crossover_doctor(l, w, rng),
             rng,
