@@ -29,6 +29,7 @@ normalized share is about one half, twice the other two weights.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -44,8 +45,21 @@ class Credential(str, Enum):
 PERSONAL_RESOURCE_CONSTRAINT = 0.8
 
 
+class _Agent:
+    """Base of both agent types.  ``copy.deepcopy`` (the GA's elite
+    snapshot) copies the fields and slices each list: every other field
+    is immutable (number, bool, str, enum or None) and lists hold floats."""
+
+    def __deepcopy__(self, memo):
+        clone = copy.copy(self)
+        for name, value in vars(self).items():
+            if type(value) is list:
+                setattr(clone, name, value[:])
+        return clone
+
+
 @dataclass
-class DoctorState:
+class DoctorState(_Agent):
     doctor_id: int
     experience: int = 0
     research_ability: float = 0.0
@@ -67,7 +81,7 @@ class DoctorState:
 
 
 @dataclass
-class PatientState:
+class PatientState(_Agent):
     patient_id: int
     health_level: float = 1.0
     resilience: float = 0.1

@@ -6,6 +6,8 @@ wins, the least fit loses, and only the loser is (maybe) crossed toward
 the winner and (maybe) mutated.  The top individuals are snapshotted
 before the events and restored verbatim afterwards, so elites survive a
 generation step bit-for-bit even if a tournament picked them as losers.
+Ranking uses C-keyed sorts over ids (score ties to the lower id), so a
+step's Python work is O(events x tournament size) and copies no population.
 Fitness comes from a score table indexed by agent id that the engine
 fills once per round; a step cannot move a score, since variation
 touches neither health nor the ledger and a restored elite is an equal copy.
@@ -27,6 +29,7 @@ doctor's confidence weights stay at their initial 0.5, because only
 from __future__ import annotations
 
 import copy
+import heapq
 from typing import Callable
 
 from .agents import DoctorState, PatientState
@@ -56,14 +59,15 @@ def tournament_select(population: list, k: int, scores: list[float], rng: RngStr
     """Sample ``k`` distinct individuals; return (winner, loser).
 
     ``scores[i]`` is the fitness of the agent with id ``i``.  The winner
-    has the highest score and the loser the lowest, with ties resolved by
-    sorting on ascending agent id.
+    has the highest score and the loser the lowest; equal scores rank by
+    ascending id (stable sorts: by id, then by descending score).
     """
     if k > len(population):
         raise ValueError("tournament size exceeds population")
-    entrants = rng.sample(population, k)
-    entrants.sort(key=lambda agent: (-scores[agent.agent_id], agent.agent_id))
-    return entrants[0], entrants[-1]
+    entrants = rng.sample(range(len(population)), k)
+    entrants.sort()
+    entrants.sort(key=scores.__getitem__, reverse=True)
+    return population[entrants[0]], population[entrants[-1]]
 
 
 def mutate_doctor_classical(doctor: DoctorState, ledger: RatingLedger, rng: RngStream) -> None:
@@ -222,11 +226,11 @@ def evolve_population(
     ``cfg`` supplies the tournament size, elite count, chances and
     ``cfg.tournaments_for(len(population))`` events.  ``crossover(loser,
     winner)`` and ``mutate(loser)`` are invoked behind their chances; the
-    top ``num_elites`` individuals (score ties by ascending id) are
-    restored verbatim at the end.
+    top ``num_elites`` scores (``heapq.nlargest``, which equals a stable
+    descending sort, so ties go to the lower id) are restored verbatim.
     """
-    ranked = sorted(range(len(population)), key=lambda i: (-scores[i], i))
-    snapshots = [(i, copy.deepcopy(population[i])) for i in ranked[: cfg.num_elites]]
+    elites = heapq.nlargest(cfg.num_elites, range(len(population)), key=scores.__getitem__)
+    snapshots = [(i, copy.deepcopy(population[i])) for i in elites]
     for _ in range(cfg.tournaments_for(len(population))):
         winner, loser = tournament_select(population, cfg.tournament_size, scores, rng)
         if rng.chance(cfg.crossover_chance):

@@ -48,7 +48,7 @@ class RngStream:
     * :meth:`sign` - one draw, +1 iff ``random() < 0.5`` else -1.
     * :meth:`index` / :meth:`choice` - one draw, ``floor(random() * n)``.
     * :meth:`sample` - ``k`` draws, partial Fisher-Yates without
-      replacement, preserving pick order.
+      replacement in pick order; O(k) memory, ``items`` never copied.
     """
 
     def __init__(self, seed: int):
@@ -75,12 +75,15 @@ class RngStream:
         return items[self.index(len(items))]
 
     def sample(self, items, k: int) -> list:
-        if k < 0 or k > len(items):
+        """Fisher-Yates over positions; ``displaced`` holds only moved ones,
+        so ``items`` is indexed but never copied or iterated."""
+        n = len(items)
+        if k < 0 or k > n:
             raise ValueError("sample size out of range")
-        pool = list(items)
+        displaced = {}
         picked = []
         for i in range(k):
-            j = i + self.index(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-            picked.append(pool[i])
+            j = i + self.index(n - i)
+            picked.append(items[displaced.get(j, j)])
+            displaced[j] = displaced.get(i, i)
         return picked

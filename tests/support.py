@@ -44,6 +44,18 @@ class StubRng:
         return [items[i] for i in indices]
 
 
+def copying_sample(rng, items, k: int) -> list:
+    """Reference for ``RngStream.sample``: the same partial Fisher-Yates
+    draws, run on a full copy of ``items``."""
+    pool = list(items)
+    picked = []
+    for i in range(k):
+        j = i + rng.index(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+        picked.append(pool[i])
+    return picked
+
+
 def make_doctor(doctor_id=0, **overrides) -> DoctorState:
     doctor = DoctorState(
         doctor_id=doctor_id,

@@ -1,9 +1,22 @@
+import copy
+import dataclasses
 import math
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caresim import Credential, ModelKind, RngStream, init_doctor, init_patient
+from caresim import (
+    Credential,
+    ModelKind,
+    RngStream,
+    derive_run_seed,
+    init_doctor,
+    init_patient,
+    init_run_state,
+    preset_single_run,
+    run_round,
+)
 from support import check_doctor_invariants, check_patient_invariants
 
 NUM_DOCTORS = 4
@@ -149,3 +162,36 @@ def test_initialization_statistics_within_three_standard_errors():
 def test_initialization_satisfies_invariants(seed, model):
     check_doctor_invariants(fresh_doctor(seed, model), NUM_DOCTORS, NUM_PATIENTS)
     check_patient_invariants(fresh_patient(seed, model), NUM_DOCTORS, NUM_PATIENTS)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_deepcopy_is_equal_and_independent(model):
+    # The GA's elite snapshot is a deepcopy; its hook slices the lists and
+    # shares every other field, which is only a deep copy while those
+    # fields are immutable.  A new mutable field must fail here.
+    cfg = preset_single_run(model, base_seed=3)
+    state = init_run_state(cfg, derive_run_seed(cfg.base_seed, 0))
+    for round_index in range(1, 4):
+        run_round(state, round_index)
+    assert any(p.health_history for p in state.patients)
+    if model is ModelKind.CSS:
+        assert any(any(d.respect_for_colleagues) for d in state.doctors)
+        assert all(p.social_ties_patients for p in state.patients)
+    for agent in state.doctors + state.patients:
+        lists = {}
+        for name, value in vars(agent).items():
+            if type(value) is list:
+                assert all(type(item) is float for item in value), name
+                lists[name] = value
+            else:
+                assert value is None or isinstance(value, (int, float, str, Enum)), name
+        before = dataclasses.asdict(agent)
+        clone = copy.deepcopy(agent)
+        assert type(clone) is type(agent)
+        assert clone == agent
+        for name, value in lists.items():
+            cloned = getattr(clone, name)
+            assert cloned is not value
+            cloned[:] = [item / 2 + 0.25 for item in cloned]
+            cloned.append(0.5)
+        assert dataclasses.asdict(agent) == before

@@ -1,9 +1,11 @@
 import copy
+import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caresim import RatingLedger, RngStream
+from caresim import RatingLedger, RngStream, evolution
 from caresim.evolution import (
     crossover_doctor,
     crossover_patient,
@@ -70,6 +72,25 @@ def test_tournament_ties_break_by_ascending_id():
     winner, loser = tournament_select(patients, 4, scores, stub)
     assert winner.patient_id == 0
     assert loser.patient_id == 3
+
+
+# Scores from three values, so most populations hold long runs of ties.
+tied_scores = st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_tournament_ties_match_tuple_key_sort(data):
+    scores = data.draw(tied_scores)
+    n = len(scores)
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    picks = data.draw(st.permutations(range(n)))[:k]
+    patients = [make_patient(i) for i in range(n)]
+    winner, loser = tournament_select(patients, k, scores, StubRng(sample=[picks]))
+    entrants = [patients[i] for i in picks]
+    entrants.sort(key=lambda agent: (-scores[agent.agent_id], agent.agent_id))
+    assert winner is entrants[0]
+    assert loser is entrants[-1]
 
 
 def test_tournament_rejects_oversized_k():
@@ -437,6 +458,26 @@ def test_evolve_restores_elite_even_when_it_loses_a_tournament():
     assert events == [1, 2]
     assert patients[:2] == before[:2]
     assert patients[2].resilience == 0.4
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_evolve_copies_elites_in_rank_order_with_ties_by_id(data):
+    scores = data.draw(tied_scores)
+    n = len(scores)
+    num_elites = data.draw(st.integers(min_value=0, max_value=n - 1))
+    patients = [make_patient(i) for i in range(n)]
+    copied = []
+
+    def deepcopy(agent):
+        copied.append(agent.patient_id)
+        return copy.deepcopy(agent)
+
+    cfg = ga_config(num_elites=num_elites, tournament_size=1, mutation_chance=0.0,
+                    crossover_chance=0.0, tournaments_per_round=1)
+    with mock.patch.object(evolution, "copy", types.SimpleNamespace(deepcopy=deepcopy)):
+        evolve_population(patients, cfg, scores, None, None, RngStream(n))
+    assert copied == sorted(range(n), key=lambda i: (-scores[i], i))[:num_elites]
 
 
 def test_evolve_is_pure_function_of_seed():

@@ -1,7 +1,10 @@
+from collections.abc import Sequence
+
 import pytest
 from hypothesis import given, strategies as st
 
 from caresim.rng import RngStream, derive_run_seed, splitmix64
+from support import copying_sample
 
 # splitmix64 finalizer of 0, frozen as a regression value for the seed mix.
 SPLITMIX64_OF_ZERO = 16294208416658607535
@@ -61,6 +64,50 @@ def test_sample_full_population_is_permutation():
     rng = RngStream(6)
     picked = rng.sample(range(9), 9)
     assert sorted(picked) == list(range(9))
+
+
+@pytest.mark.parametrize("container", [list, tuple, "range"])
+def test_sample_matches_copying_oracle(container):
+    # Same picks in the same order, and the stream is left at the same
+    # point, for every k of every small population.
+    for seed in range(12):
+        for n in range(1, 31):
+            if container == "range":
+                items = range(100, 100 + 3 * n, 3)
+            else:
+                items = container(f"agent-{i}" for i in range(n))
+            for k in range(n + 1):
+                rng, oracle = RngStream(seed), RngStream(seed)
+                assert rng.sample(items, k) == copying_sample(oracle, items, k)
+                assert rng.random() == oracle.random()
+
+
+class IndexOnly(Sequence):
+    """A sequence that counts reads by index and refuses iteration."""
+
+    def __init__(self, size):
+        self.size = size
+        self.reads = 0
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, position):
+        if not 0 <= position < self.size:
+            raise IndexError(position)
+        self.reads += 1
+        return position
+
+    def __iter__(self):
+        raise AssertionError("sample iterated its items")
+
+
+def test_sample_reads_only_the_picks():
+    for k in (0, 1, 5, 40):
+        items = IndexOnly(1_000)
+        picked = RngStream(k).sample(items, k)
+        assert picked == copying_sample(RngStream(k), range(1_000), k)
+        assert items.reads == k
 
 
 def test_sample_rejects_oversize():
