@@ -2,8 +2,9 @@
 """Capture how the css social network transforms over a short run.
 
 Runs the single-run preset with periodic snapshots and writes one JSON
-edge list per capture; prints per-snapshot tie statistics so the
-strengthening of ties is visible without any plotting dependency.
+edge list per capture as soon as it is taken; prints per-snapshot tie
+statistics so the strengthening of ties is visible without any plotting
+dependency.
 """
 
 import argparse
@@ -26,10 +27,12 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     config = preset_single_run("css", base_seed=args.seed, snapshot_every=args.every)
-    result = run_simulation(config, derive_run_seed(args.seed, 0))
-    print(f"{len(result.snapshots)} snapshots from {config.num_rounds} rounds "
+    config.validate()
+    count = config.num_rounds // config.snapshot_every if config.snapshot_every else 0
+    print(f"{count} snapshots from {config.num_rounds} rounds "
           f"({config.num_doctors} doctors, {config.num_patients} patients)")
-    for snapshot in result.snapshots:
+
+    def write(snapshot):
         path = out_dir / f"network_round{snapshot.round_index:04d}.json"
         export_network_snapshot(snapshot, path)
         strengths = [strength for _, _, strength in snapshot.edges]
@@ -37,6 +40,8 @@ def main() -> int:
         print(f"round {snapshot.round_index:3d}: {len(strengths)} edges, "
               f"mean strength {sum(strengths) / len(strengths):.3f}, "
               f"{strong} ties above 0.8 -> {path}")
+
+    run_simulation(config, derive_run_seed(args.seed, 0), write)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Runs a repeat batch for one model variant, writes the aggregated metrics
-CSV plus (css) network snapshot JSON files into the output directory,
-and prints a one-line summary.  Exit codes: 0 success, 1 runtime error,
-2 usage error.
+Runs a repeat batch for one model variant, writes each (css) network
+snapshot JSON file into the output directory as it is captured and the
+aggregated metrics CSV after the batch, and prints a one-line summary.
+Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -94,12 +94,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        batch = run_batch(config)
+
+        def write_snapshot(repeat, snapshot):
+            name = f"network_run{repeat:03d}_round{snapshot.round_index:04d}.json"
+            export_network_snapshot(snapshot, out_dir / name)
+
+        batch = run_batch(config, write_snapshot)
         export_metrics_csv(batch.aggregates, out_dir / "metrics.csv")
-        for run in batch.runs:
-            for snapshot in run.snapshots:
-                name = f"network_run{run.run_id:03d}_round{snapshot.round_index:04d}.json"
-                export_network_snapshot(snapshot, out_dir / name)
         final = batch.aggregates[-1] if batch.aggregates else None
         if final is not None:
             last_active = max(run.last_active_round for run in batch.runs)

@@ -26,12 +26,17 @@ A run is strictly sequential and owns a single RNG stream seeded from
 ``derive_run_seed(base_seed, repeat_index)``; repeats are independent,
 and batch aggregation reduces them in repeat-index order so it is
 insensitive to any execution ordering.
+
+A run keeps only its per-round metrics and final latent-infection count.
+After every ``snapshot_every``-th round its snapshot goes to the caller's sink.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable
 
 from . import classical, cognitive
 from .agents import DoctorState, PatientState, init_doctor, init_patient
@@ -100,23 +105,15 @@ class RunState:
 
 @dataclass
 class RunResult:
-    run_id: int
     metrics: list[RoundMetrics]
-    doctors: list[DoctorState]
-    patients: list[PatientState]
-    snapshots: list[NetworkSnapshot] = field(default_factory=list)
+    latent_infected: int
+    """Patients ending infected but healthy enough never to seek care: only a treatment
+    clears an infection and only uninfected patients can be infected, so it is absorbing."""
 
     @property
     def last_active_round(self) -> int:
         """Last round in which any treatment happened; 0 if none did."""
         return max((m.round_index for m in self.metrics if m.treatments_performed > 0), default=0)
-
-    @property
-    def latent_infected(self) -> int:
-        """Patients ending the run infected but healthy enough never to seek
-        care: only a treatment clears an infection and only uninfected
-        patients can be infected, so this state is absorbing."""
-        return sum(1 for p in self.patients if p.is_infected and not needs_doctor(p))
 
 
 @dataclass
@@ -234,22 +231,21 @@ def capture_snapshot(state: RunState, round_index: int) -> NetworkSnapshot:
     return NetworkSnapshot(round_index=round_index, nodes=nodes, edges=edges)
 
 
-def run_simulation(config: SimulationConfig, run_seed: int, run_id: int = 0) -> RunResult:
-    """Initialize populations from the seed and execute all rounds."""
+def run_simulation(config: SimulationConfig, run_seed: int,
+                   on_snapshot: Callable | None = None) -> RunResult:
+    """Initialize populations from the seed and execute all rounds, passing
+    each due snapshot to ``on_snapshot(snapshot)`` as it is captured.  A
+    snapshot schedule without a sink raises ``ValueError`` before round 1."""
     state = init_run_state(config, run_seed)
+    if config.snapshot_every > 0 and on_snapshot is None:
+        raise ValueError("snapshot_every is set but no on_snapshot sink was given")
     metrics: list[RoundMetrics] = []
-    snapshots: list[NetworkSnapshot] = []
     for round_index in range(1, config.num_rounds + 1):
         metrics.append(run_round(state, round_index))
         if config.snapshot_every > 0 and round_index % config.snapshot_every == 0:
-            snapshots.append(capture_snapshot(state, round_index))
-    return RunResult(
-        run_id=run_id,
-        metrics=metrics,
-        doctors=state.doctors,
-        patients=state.patients,
-        snapshots=snapshots,
-    )
+            on_snapshot(capture_snapshot(state, round_index))
+    latent = sum(1 for p in state.patients if p.is_infected and not needs_doctor(p))
+    return RunResult(metrics=metrics, latent_infected=latent)
 
 
 @dataclass
@@ -278,11 +274,13 @@ def aggregate_rounds(per_run_metrics: list[list[RoundMetrics]], model: ModelKind
     return aggregates
 
 
-def run_batch(config: SimulationConfig) -> BatchResult:
-    """Run ``num_repeats`` independent simulations and aggregate per round."""
+def run_batch(config: SimulationConfig, on_snapshot: Callable | None = None) -> BatchResult:
+    """Run ``num_repeats`` simulations in repeat order and aggregate per round,
+    passing each snapshot to ``on_snapshot(repeat, snapshot)`` as it is captured."""
     config.validate()
     runs = [
-        run_simulation(config, derive_run_seed(config.base_seed, repeat), run_id=repeat)
+        run_simulation(config, derive_run_seed(config.base_seed, repeat),
+                       None if on_snapshot is None else partial(on_snapshot, repeat))
         for repeat in range(config.num_repeats)
     ]
     aggregates = aggregate_rounds([run.metrics for run in runs], config.model)

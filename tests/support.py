@@ -1,8 +1,17 @@
-"""Shared test helpers: invariant checks, independent oracles, scripted RNG."""
+"""Shared test helpers: invariant checks, independent oracles, scripted RNG,
+and a round driver that keeps the final populations."""
 
 from __future__ import annotations
 
-from caresim import Credential, DoctorState, PatientState, RatingLedger, SimulationConfig
+from caresim import (
+    Credential,
+    DoctorState,
+    PatientState,
+    RatingLedger,
+    SimulationConfig,
+    init_run_state,
+    run_round,
+)
 from caresim.classical import PERFECT_RATING
 from caresim.infection import NEEDS_DOCTOR_THRESHOLD
 
@@ -95,6 +104,14 @@ def ga_config(**overrides) -> SimulationConfig:
     )
     base.update(overrides)
     return SimulationConfig(**base)
+
+
+def run_to_end(config: SimulationConfig, run_seed: int):
+    """Drive every round as ``run_simulation`` does, for tests that read the
+    final populations it drops; returns the final state and the metrics."""
+    state = init_run_state(config, run_seed)
+    metrics = [run_round(state, r) for r in range(1, config.num_rounds + 1)]
+    return state, metrics
 
 
 def check_tie_format(ties: list[float], size: int, self_id: int | None = None) -> None:

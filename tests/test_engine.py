@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from caresim import (
@@ -9,10 +12,13 @@ from caresim import (
     run_round,
     run_simulation,
 )
+from caresim import engine
+from caresim.cli import main as cli_main
 from caresim.config import ConfigError
 from caresim.engine import METRIC_FIELDS, aggregate_rounds
 from caresim.evolution import fitness_doctor, fitness_patient
-from support import check_doctor_invariants, check_patient_invariants
+from caresim.infection import needs_doctor
+from support import check_doctor_invariants, check_patient_invariants, run_to_end
 
 
 def small_config(model="classical", **overrides):
@@ -136,12 +142,15 @@ def test_saturated_round_leaves_seekers_untreated():
 
 
 def test_run_simulation_zero_rounds():
-    result = run_simulation(small_config(num_rounds=0), 9)
+    cfg = small_config(num_rounds=0)
+    result = run_simulation(cfg, 9)
     assert result.metrics == []
-    assert len(result.doctors) == 6
-    assert len(result.patients) == 20
     assert result.last_active_round == 0
     assert result.latent_infected == 0
+    state, metrics = run_to_end(cfg, 9)
+    assert metrics == []
+    assert len(state.doctors) == 6
+    assert len(state.patients) == 20
 
 
 @pytest.mark.parametrize("model, last_active", [("classical", 10), ("css", 5)])
@@ -160,8 +169,12 @@ def test_run_is_deterministic():
     a = run_simulation(cfg, 123)
     b = run_simulation(cfg, 123)
     assert a.metrics == b.metrics
-    assert a.doctors == b.doctors
-    assert a.patients == b.patients
+    assert a.latent_infected == b.latent_infected
+    state_a, metrics_a = run_to_end(cfg, 123)
+    state_b, metrics_b = run_to_end(cfg, 123)
+    assert metrics_a == metrics_b == a.metrics
+    assert state_a.doctors == state_b.doctors
+    assert state_a.patients == state_b.patients
 
 
 def test_different_seeds_differ():
@@ -187,8 +200,14 @@ def test_invariants_hold_after_full_run():
     for model in ("classical", "css"):
         cfg = small_config(model)
         sizes = (cfg.num_doctors, cfg.num_patients)
+        state, metrics = run_to_end(cfg, 31)
         result = run_simulation(cfg, 31)
-        for doctor in result.doctors:
+        assert result.metrics == metrics
+        # run_simulation counts the latent patients of the population it drops.
+        assert result.latent_infected == sum(
+            p.is_infected and not needs_doctor(p) for p in state.patients
+        )
+        for doctor in state.doctors:
             check_doctor_invariants(doctor, *sizes)
             if model == "classical":
                 # The shared effectiveness formula adds confidence, and the
@@ -200,7 +219,7 @@ def test_invariants_hold_after_full_run():
                 assert doctor.social_ties_patients == []
                 assert doctor.respect_for_colleagues == []
                 assert (doctor.weight_wmrat, doctor.weight_mwres) == (0.5, 0.5)
-        for patient in result.patients:
+        for patient in state.patients:
             check_patient_invariants(patient, *sizes)
             if model == "classical":
                 # The shared patient mutation skips the tie step (and its
@@ -211,23 +230,52 @@ def test_invariants_hold_after_full_run():
 
 def test_snapshots_follow_interval():
     cfg = preset_single_run("css", base_seed=3, snapshot_every=5)
-    result = run_simulation(cfg, derive_run_seed(3, 0))
-    assert [s.round_index for s in result.snapshots] == [5, 10, 15, 20]
-    snapshot = result.snapshots[0]
+    snapshots = []
+    run_simulation(cfg, derive_run_seed(3, 0), snapshots.append)
+    assert [s.round_index for s in snapshots] == [5, 10, 15, 20]
+    snapshot = snapshots[0]
     assert len(snapshot.nodes) == 115
     assert len(snapshot.edges) == 115 * 114
     assert all(0.0 <= strength <= 1.0 for _, _, strength in snapshot.edges)
 
 
 def test_classical_run_never_snapshots():
-    result = run_simulation(small_config(), 3)
-    assert result.snapshots == []
+    snapshots = []
+    run_simulation(small_config(), 3, snapshots.append)
+    assert snapshots == []
+
+
+def test_snapshot_schedule_without_sink_is_rejected_before_round_one(monkeypatch):
+    rounds = []
+    real_run_round = engine.run_round
+    monkeypatch.setattr(engine, "run_round",
+                        lambda state, r: rounds.append(r) or real_run_round(state, r))
+    cfg = small_config("css", num_repeats=2, snapshot_every=2)
+    with pytest.raises(ValueError, match="no on_snapshot sink"):
+        run_simulation(cfg, 1)
+    with pytest.raises(ValueError, match="no on_snapshot sink"):
+        run_batch(cfg)
+    assert rounds == []
+
+
+def test_batch_passes_snapshots_to_sink_in_repeat_order():
+    cfg = small_config("css", num_rounds=20, num_repeats=2, snapshot_every=5)
+    calls = []
+    batch = run_batch(cfg, lambda repeat, snapshot: calls.append((repeat, snapshot)))
+    assert [(repeat, s.round_index) for repeat, s in calls] == [
+        (repeat, r) for repeat in (0, 1) for r in (5, 10, 15, 20)
+    ]
+    for repeat in (0, 1):
+        direct = []
+        run = run_simulation(cfg, derive_run_seed(cfg.base_seed, repeat), direct.append)
+        assert run == batch.runs[repeat]
+        assert [s for r, s in calls if r == repeat] == direct
 
 
 def test_batch_single_repeat_matches_run_with_zero_std():
     cfg = small_config(num_repeats=1)
     batch = run_batch(cfg)
-    single = run_simulation(cfg, derive_run_seed(cfg.base_seed, 0), run_id=0)
+    single = run_simulation(cfg, derive_run_seed(cfg.base_seed, 0))
     assert batch.runs[0].metrics == single.metrics
     for agg, row in zip(batch.aggregates, single.metrics):
         for name in METRIC_FIELDS:
@@ -260,5 +308,41 @@ def test_batch_mean_of_constant_field_is_constant():
 def test_batch_runs_are_independent_of_each_other():
     cfg = small_config(num_repeats=2)
     batch = run_batch(cfg)
-    solo = run_simulation(cfg, derive_run_seed(cfg.base_seed, 1), run_id=1)
+    solo = run_simulation(cfg, derive_run_seed(cfg.base_seed, 1))
     assert batch.runs[1].metrics == solo.metrics
+
+
+def peak_traced_bytes(call) -> int:
+    """Peak of the memory that ``tracemalloc`` sees allocated during ``call()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_does_not_grow_with_repeats():
+    # A finished repeat leaves only its metrics and latent count behind.
+    def peak(repeats):
+        cfg = SimulationConfig(model="css", num_doctors=30, num_patients=300, num_rounds=5,
+                               num_infected_per_round=60, num_repeats=repeats, base_seed=5)
+        return peak_traced_bytes(lambda: run_batch(cfg))
+
+    assert peak(4) <= 1.25 * peak(1)
+
+
+def test_cli_memory_does_not_grow_with_snapshots(tmp_path, capsys):
+    # The CLI writes each snapshot as it is captured instead of holding them all.
+    def peak(every):
+        argv = ["--preset", "paper-single", "--model", "css", "--seed", "3",
+                "--snapshot-every", str(every), "--out", str(tmp_path / f"every{every}")]
+
+        def call():
+            assert cli_main(argv) == 0
+
+        return peak_traced_bytes(call)
+
+    assert peak(1) <= 1.25 * peak(20)
+    capsys.readouterr()
