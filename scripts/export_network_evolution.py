@@ -13,7 +13,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from caresim import derive_run_seed, export_network_snapshot, preset_single_run, run_simulation
+from caresim import (
+    ConfigError,
+    derive_run_seed,
+    export_network_snapshot,
+    preset_single_run,
+    run_simulation,
+)
 
 
 def main() -> int:
@@ -23,11 +29,15 @@ def main() -> int:
     parser.add_argument("--out", default="network-evolution")
     args = parser.parse_args()
 
+    config = preset_single_run("css", base_seed=args.seed, snapshot_every=args.every)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        print(f"{parser.prog}: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    config = preset_single_run("css", base_seed=args.seed, snapshot_every=args.every)
-    config.validate()
     count = config.num_rounds // config.snapshot_every if config.snapshot_every else 0
     print(f"{count} snapshots from {config.num_rounds} rounds "
           f"({config.num_doctors} doctors, {config.num_patients} patients)")

@@ -14,7 +14,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from caresim import METRIC_FIELDS, ModelKind, export_metrics_csv, preset_full_scale, run_batch
+from caresim import (
+    METRIC_FIELDS,
+    ConfigError,
+    ModelKind,
+    export_metrics_csv,
+    preset_full_scale,
+    run_batch,
+)
 
 # The ten trait/fitness means; the event counts after them are left out.
 SUMMARY_FIELDS = METRIC_FIELDS[:10]
@@ -28,12 +35,22 @@ def main() -> int:
     parser.add_argument("--out", default="experiments")
     args = parser.parse_args()
 
+    configs = {
+        model: preset_full_scale(model, num_repeats=args.repeats, base_seed=args.seed)
+        for model in (ModelKind.CLASSICAL, ModelKind.CSS)
+    }
+    try:
+        for config in configs.values():
+            config.validate()
+    except ConfigError as exc:
+        print(f"{parser.prog}: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     finals = {}
-    for model in (ModelKind.CLASSICAL, ModelKind.CSS):
-        config = preset_full_scale(model, num_repeats=args.repeats, base_seed=args.seed)
+    for model, config in configs.items():
         started = time.perf_counter()
         batch = run_batch(config)
         elapsed = time.perf_counter() - started

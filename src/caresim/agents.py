@@ -23,6 +23,9 @@ Initialization draw order (one :class:`~caresim.rng.RngStream` per run):
   U(0, 1) tie per doctor, then one per peer patient, in ascending id,
   skipping self.
 
+Each tie list is one :meth:`~caresim.rng.RngStream.randoms` call; in a
+same-kind list the own 0.0 slot is inserted afterwards, not drawn.
+
 The past-rating weight is drawn on a doubled range so its expected
 normalized share is about one half, twice the other two weights.
 """
@@ -101,7 +104,9 @@ class PatientState(_Agent):
 
 
 def _peer_ties(self_id: int, size: int, rng: RngStream) -> list[float]:
-    return [0.0 if peer == self_id else rng.random() for peer in range(size)]
+    ties = rng.randoms(size - 1)
+    ties.insert(self_id, 0.0)
+    return ties
 
 
 def init_doctor(
@@ -119,7 +124,7 @@ def init_doctor(
     )
     if model is ModelKind.CSS:
         doctor.social_ties_doctors = _peer_ties(doctor_id, num_doctors, rng)
-        doctor.social_ties_patients = [rng.random() for _ in range(num_patients)]
+        doctor.social_ties_patients = rng.randoms(num_patients)
         doctor.respect_for_colleagues = [0.0] * num_doctors
     return doctor
 
@@ -145,6 +150,6 @@ def init_patient(
         past_rating_weight=raw_past / total,
     )
     if model is ModelKind.CSS:
-        patient.social_ties_doctors = [rng.random() for _ in range(num_doctors)]
+        patient.social_ties_doctors = rng.randoms(num_doctors)
         patient.social_ties_patients = _peer_ties(patient_id, num_patients, rng)
     return patient

@@ -2,17 +2,23 @@
 
 A run owns exactly one :class:`RngStream`; every stochastic operation of
 that run draws from it in execution order, so a seed fully determines the
-run.  The stream builds all of its primitives on top of
-``random.Random.random()`` alone: the stdlib's higher-level helpers
-(``sample``, ``choice``, ``shuffle``) are not guaranteed to keep their
-draw patterns across Python versions, while ``random()`` itself is.
+run.  The stream *is* a ``random.Random``, but builds all of its
+primitives on ``random()`` alone: the stdlib's higher-level helpers
+(``shuffle``, ``choices``, ``randint``, ``gauss``, ...) are not guaranteed
+to keep their draw patterns across Python versions, while ``random()``
+itself is.  Inherited helpers outside the vocabulary below are therefore
+not part of the contract.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import repeat, starmap
 
 _MASK64 = (1 << 64) - 1
+# One-draw primitives call the C method directly, not ``self.random``, so a
+# class-level wrapper of ``random`` counts only what goes through it.
+_draw = random.Random.random
 
 
 def splitmix64(value: int) -> int:
@@ -36,13 +42,15 @@ def derive_run_seed(base_seed: int, repeat_index: int) -> int:
     return splitmix64((base_seed & _MASK64) ^ (repeat_index & _MASK64))
 
 
-class RngStream:
+class RngStream(random.Random):
     """Seeded pseudo-random stream with a documented draw vocabulary.
 
     Primitives, each consuming exactly the stated number of underlying
     ``random()`` draws:
 
-    * :meth:`random` - one draw, uniform in [0, 1).
+    * :meth:`random` - one draw, uniform in [0, 1) (inherited, in C).
+    * :meth:`randoms` - ``n`` draws as a list: ``n`` calls of ``self.random``
+      in order, so a wrapper of ``random`` sees every bulk draw.
     * :meth:`uniform` - one draw, ``lo + (hi - lo) * random()``.
     * :meth:`chance` - one draw, true iff ``random() < p``.
     * :meth:`sign` - one draw, +1 iff ``random() < 0.5`` else -1.
@@ -52,24 +60,24 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self._gen = random.Random(seed & _MASK64)
+        super().__init__(seed & _MASK64)
 
-    def random(self) -> float:
-        return self._gen.random()
+    def randoms(self, n: int) -> list[float]:
+        return list(starmap(self.random, repeat((), n)))
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self._gen.random()
+        return lo + (hi - lo) * _draw(self)
 
     def chance(self, probability: float) -> bool:
-        return self._gen.random() < probability
+        return _draw(self) < probability
 
     def sign(self) -> int:
-        return 1 if self._gen.random() < 0.5 else -1
+        return 1 if _draw(self) < 0.5 else -1
 
     def index(self, n: int) -> int:
         if n <= 0:
             raise ValueError("index() needs a positive range")
-        return min(int(self._gen.random() * n), n - 1)
+        return min(int(_draw(self) * n), n - 1)
 
     def choice(self, items):
         return items[self.index(len(items))]

@@ -65,6 +65,12 @@ def copying_sample(rng, items, k: int) -> list:
     return picked
 
 
+def comprehension_peer_ties(self_id: int, size: int, rng) -> list:
+    """Reference for ``agents._peer_ties``: one ``random()`` per peer in
+    ascending id, the own slot left at 0.0 and not drawn."""
+    return [0.0 if peer == self_id else rng.random() for peer in range(size)]
+
+
 def make_doctor(doctor_id=0, **overrides) -> DoctorState:
     doctor = DoctorState(
         doctor_id=doctor_id,

@@ -17,7 +17,8 @@ from caresim import (
     preset_single_run,
     run_round,
 )
-from support import check_doctor_invariants, check_patient_invariants
+from caresim.agents import _peer_ties
+from support import check_doctor_invariants, check_patient_invariants, comprehension_peer_ties
 
 NUM_DOCTORS = 4
 NUM_PATIENTS = 6
@@ -81,6 +82,20 @@ def test_css_doctor_draws_peers_in_ascending_id_skipping_self():
     draws = [rng.random() for _ in range(4 + NUM_DOCTORS - 1 + NUM_PATIENTS)][4:]
     assert doctor.social_ties_doctors == [*draws[:2], 0.0, draws[2]]
     assert doctor.social_ties_patients == draws[3:]
+
+
+def test_peer_ties_match_the_comprehension_oracle():
+    # One bulk draw of size - 1 values with the own 0.0 slot inserted must
+    # equal drawing per peer and skipping self, and leave the stream at
+    # the same next draw, for every own id.
+    for seed in (0, 1, 7, 2024):
+        for size in range(1, 61):
+            for self_id in range(size):
+                rng, oracle = RngStream(seed), RngStream(seed)
+                ties = _peer_ties(self_id, size, rng)
+                assert ties == comprehension_peer_ties(self_id, size, oracle)
+                assert ties[self_id] == 0.0
+                assert rng.random() == oracle.random()
 
 
 def test_patient_draw_ranges_and_weight_sum():

@@ -1,4 +1,7 @@
+import ast
+import random
 from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,3 +129,77 @@ def test_uniform_zero_one_is_random_bit_for_bit():
     b = RngStream(2024)
     for _ in range(10_000):
         assert a.uniform(0.0, 1.0).hex() == b.random().hex()
+
+
+def test_randoms_equals_single_draws_of_a_twin():
+    for n in (0, 1, 1_000):
+        rng, twin = RngStream(n + 11), RngStream(n + 11)
+        assert rng.randoms(n) == [twin.random() for _ in range(n)]
+        assert rng.random() == twin.random()
+
+
+def test_counting_wrapper_on_random_sees_bulk_draws_only(monkeypatch):
+    # The benchmark's tracer wraps RngStream methods at class level and
+    # counts each call as one draw; randoms(n) must reach it n times, and
+    # the one-draw primitives must not reach it at all (their own wrappers
+    # count them), or the traced rng.draws would change.
+    counted = [0]
+    original = RngStream.random
+
+    def counting(*args, **kwargs):
+        counted[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "random", counting)
+    rng, twin = RngStream(4), RngStream(4)
+    for n in (0, 1, 1_000):
+        before = counted[0]
+        assert rng.randoms(n) == [original(twin) for _ in range(n)]
+        assert counted[0] - before == n
+    one_draw_calls = {
+        "uniform": lambda r: r.uniform(0.2, 0.6),
+        "chance": lambda r: r.chance(0.5),
+        "sign": lambda r: r.sign(),
+        "index": lambda r: r.index(7),
+        "sample": lambda r: r.sample(range(50), 9),
+    }
+    for name, call in one_draw_calls.items():
+        before = counted[0]
+        call(rng)
+        assert counted[0] == before, name
+
+
+DRAW_VOCABULARY = {"random", "randoms", "uniform", "chance", "sign", "index", "choice", "sample"}
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "caresim"
+
+
+def _is_stream(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "rng") or (
+        isinstance(node, ast.Attribute) and node.attr == "rng"
+    )
+
+
+def test_only_the_draw_vocabulary_is_called_on_a_stream():
+    # RngStream is a random.Random, so shuffle, choices, randint, gauss,
+    # getrandbits, seed, setstate, ... are reachable; their draw patterns
+    # are not stable across Python versions and are not part of the
+    # contract.  Calls on an RNG stream must stay inside the vocabulary.
+    called = set()
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if _is_stream(node.func.value):
+                    assert node.func.attr in DRAW_VOCABULARY, (path.name, node.lineno)
+                    called.add(node.func.attr)
+    assert {"randoms", "random", "uniform", "sample"} <= called
+
+
+def test_stream_uses_no_stdlib_helper_on_itself():
+    # Within rng.py, neither ``self.<helper>`` nor ``random.Random.<helper>``
+    # may reach an inherited method outside the vocabulary.
+    tree = ast.parse((SOURCES / "rng.py").read_text())
+    inherited = set(dir(random.Random)) - DRAW_VOCABULARY
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in inherited:
+            receiver = ast.unparse(node.value)
+            assert receiver not in ("self", "random.Random"), (node.attr, node.lineno)
