@@ -59,7 +59,7 @@ class RngStream(random.Random):
       replacement in pick order; O(k) memory, ``items`` never copied.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int = 0):
         super().__init__(seed & _MASK64)
 
     def randoms(self, n: int) -> list[float]:

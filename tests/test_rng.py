@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import random
 from collections.abc import Sequence
 from pathlib import Path
@@ -136,6 +138,19 @@ def test_randoms_equals_single_draws_of_a_twin():
         rng, twin = RngStream(n + 11), RngStream(n + 11)
         assert rng.randoms(n) == [twin.random() for _ in range(n)]
         assert rng.random() == twin.random()
+
+
+def test_copy_and_pickle_keep_the_stream_position():
+    # random.Random copies and pickles by calling the class with no
+    # arguments and then restoring the state; a RunState deep copy takes
+    # that path for its stream.
+    rng = RngStream(9)
+    rng.randoms(5)
+    twins = [copy.copy(rng), copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+    expected = rng.randoms(3)
+    for twin in twins:
+        assert type(twin) is RngStream
+        assert twin.randoms(3) == expected
 
 
 def test_counting_wrapper_on_random_sees_bulk_draws_only(monkeypatch):
