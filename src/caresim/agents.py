@@ -10,7 +10,8 @@ simply carry empty tie lists; every tie-weighted aggregation then reads
 as zero, and the shared GA operators find no tie to perturb or average.
 Their doctors also keep both confidence weights at 0.5 for the whole
 run (only css mutation moves them), so averaging two of them in
-crossover changes nothing.
+crossover changes nothing.  A doctor stores no respect for colleagues:
+each css perception sweep builds the respect matrix and sets confidence.
 
 Initialization draw order (one :class:`~caresim.rng.RngStream` per run):
 
@@ -73,7 +74,6 @@ class DoctorState(_Agent):
     is_busy: bool = False
     social_ties_doctors: list[float] = field(default_factory=list)
     social_ties_patients: list[float] = field(default_factory=list)
-    respect_for_colleagues: list[float] = field(default_factory=list)
     confidence: float = 0.0
     weight_wmrat: float = 0.5
     weight_mwres: float = 0.5
@@ -125,7 +125,6 @@ def init_doctor(
     if model is ModelKind.CSS:
         doctor.social_ties_doctors = _peer_ties(doctor_id, num_doctors, rng)
         doctor.social_ties_patients = rng.randoms(num_patients)
-        doctor.respect_for_colleagues = [0.0] * num_doctors
     return doctor
 
 

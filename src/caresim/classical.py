@@ -99,18 +99,17 @@ def choose_doctor(
     """
     if not needs_doctor(patient):
         return None
-    available = [d for d in doctors if not d.is_busy]
-    if not available:
-        return None
     last = patient.last_doctor_id
     if last is not None and ledger.rating_by_patient(last, patient.patient_id) == PERFECT_RATING:
-        if any(doctor.doctor_id == last for doctor in available):
+        if any(d.doctor_id == last and not d.is_busy for d in doctors):
             return last
     best_id = None
     best_score = float("-inf")
-    for doctor in sorted(available, key=lambda d: d.doctor_id):
+    for doctor in doctors:
+        if doctor.is_busy:
+            continue
         score = judge(patient, doctor, ledger)
-        if score > best_score:
+        if score > best_score or (score == best_score and doctor.doctor_id < best_id):
             best_id = doctor.doctor_id
             best_score = score
     return best_id

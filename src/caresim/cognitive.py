@@ -5,14 +5,12 @@ at face value: colleague respect feeds doctor confidence, confidence
 feeds treatment effectiveness, and patients judge and rate doctors
 through their own tie strengths.  Ratings here are one-decimal reals.
 
-Ties and respect are lists indexed by peer id.  An agent's own slot is
-0.0, so a weighted sum over every slot needs no self-exclusion.
+Ties and respect rows are lists indexed by peer id.  An agent's own slot
+is 0.0, so a weighted sum over every slot needs no self-exclusion.
 
-Confidence is read only by treatment effectiveness, so the engine
-refreshes respect and confidence for every doctor only in rounds where
-some patient seeks care, before the first treatment: first all respect
-lists are recomputed, then all confidences, so every confidence reads the
-same round's committed respect values.
+Respect is no agent state: the engine's perception sweep builds the
+respect matrix, one row per doctor, and passes it to every confidence
+update.
 """
 
 from __future__ import annotations
@@ -37,46 +35,45 @@ def round_to_tenth(value: float) -> float:
     return math.floor(value * 10.0 + 0.5) / 10.0
 
 
-def mean_weighted_respects(doctor: DoctorState, all_doctors: list[DoctorState]) -> float:
-    """Average respect colleagues hold for this doctor, weighted by the
-    doctor's own tie to each colleague; zero when all ties are zero."""
-    return tie_weighted_mean(
-        (colleague.respect_for_colleagues[doctor.doctor_id],
-         doctor.social_ties_doctors[colleague.doctor_id])
-        for colleague in all_doctors
-    )
+def mean_weighted_respects(doctor: DoctorState, respect: list[list[float]]) -> float:
+    """Average respect colleagues hold for this doctor (``respect[c]`` is
+    colleague c's row), weighted by the doctor's own tie to each colleague
+    in ascending colleague id; zero when all ties are zero."""
+    own = doctor.doctor_id
+    return tie_weighted_mean(zip((row[own] for row in respect), doctor.social_ties_doctors))
 
 
 def update_respect_for_colleagues(
     doctor: DoctorState,
     all_doctors: list[DoctorState],
     ledger: RatingLedger,
-) -> None:
-    """Recompute this doctor's respect for every colleague.
+) -> list[float]:
+    """This doctor's respect row over ``all_doctors`` (``all_doctors[i]``
+    has id i), with the own slot at 0.0.
 
     Respect = own tie to the colleague x (colleague's treatment-factor
     credential score + the colleague's ratings weighted by own ties to
-    the rating patients).  Reads no respect values, so a sweep over all
-    doctors is order-independent.
+    the rating patients).
     """
-    for colleague in all_doctors:
-        if colleague.doctor_id == doctor.doctor_id:
-            continue
-        valuation = ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
-        credential_score = TREATMENT_FACTOR[colleague.credential]
-        strength = doctor.social_ties_doctors[colleague.doctor_id]
-        doctor.respect_for_colleagues[colleague.doctor_id] = strength * (
-            credential_score + valuation
+    own = doctor.doctor_id
+    return [
+        0.0 if colleague.doctor_id == own else doctor.social_ties_doctors[colleague.doctor_id] * (
+            TREATMENT_FACTOR[colleague.credential]
+            + ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
         )
+        for colleague in all_doctors
+    ]
 
 
 def update_confidence(
     doctor: DoctorState,
     ledger: RatingLedger,
-    all_doctors: list[DoctorState],
+    respect: list[list[float]],
 ) -> None:
+    """Commit confidence from the doctor's tie-weighted ratings and the
+    sweep's respect matrix."""
     ratings_part = ledger.mean_weighted_ratings(doctor.doctor_id, doctor.social_ties_patients)
-    respects_part = mean_weighted_respects(doctor, all_doctors)
+    respects_part = mean_weighted_respects(doctor, respect)
     doctor.confidence = doctor.weight_wmrat * ratings_part + doctor.weight_mwres * respects_part
 
 

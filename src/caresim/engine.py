@@ -6,11 +6,11 @@ One round (mini-generation) executes, in order:
 2. Reset all busy flags.
 3. Sort the patients below the care threshold (the seekers) by triage
    priority, ties by ascending patient id.
-4. css only, and only when there is a seeker: recompute every doctor's
-   respect list, then every doctor's confidence (two passes over
-   ascending doctor ids).  Confidence is read only by a treatment, and
-   infection changes none of the sweep's inputs, so skipping the sweep
-   in rounds without a seeker changes no output.
+4. css only, and only when there is a seeker: build the respect matrix
+   and commit every doctor's confidence from it.  Confidence is read
+   only by a treatment, and infection changes none of the sweep's
+   inputs, so skipping the sweep in rounds without a seeker changes no
+   output.
 5. Let each seeker in triage order pick a free doctor and be treated;
    seekers who find nobody free are counted as untreated.
 6. Score every agent once, then evolve the patient population, then the
@@ -148,13 +148,11 @@ def init_run_state(config: SimulationConfig, run_seed: int) -> RunState:
 
 
 def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) -> None:
-    """css sweep before a round's first treatment: all respect lists first,
-    then all confidences, so every confidence sees the same committed
-    respect values."""
+    """css sweep before a round's first treatment: every doctor's confidence
+    from the respect matrix, one row per doctor."""
+    respect = [cognitive.update_respect_for_colleagues(d, doctors, ledger) for d in doctors]
     for doctor in doctors:
-        cognitive.update_respect_for_colleagues(doctor, doctors, ledger)
-    for doctor in doctors:
-        cognitive.update_confidence(doctor, ledger, doctors)
+        cognitive.update_confidence(doctor, ledger, respect)
 
 
 def run_round(state: RunState, round_index: int) -> RoundMetrics:
@@ -235,10 +233,11 @@ def run_simulation(config: SimulationConfig, run_seed: int,
                    on_snapshot: Callable | None = None) -> RunResult:
     """Initialize populations from the seed and execute all rounds, passing
     each due snapshot to ``on_snapshot(snapshot)`` as it is captured.  A
-    snapshot schedule without a sink raises ``ValueError`` before round 1."""
-    state = init_run_state(config, run_seed)
+    snapshot schedule without a sink raises ``ValueError`` before initialization."""
+    config.validate()
     if config.snapshot_every > 0 and on_snapshot is None:
         raise ValueError("snapshot_every is set but no on_snapshot sink was given")
+    state = init_run_state(config, run_seed)
     metrics: list[RoundMetrics] = []
     for round_index in range(1, config.num_rounds + 1):
         metrics.append(run_round(state, round_index))

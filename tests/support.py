@@ -12,6 +12,7 @@ from caresim import (
     init_run_state,
     run_round,
 )
+from caresim import cognitive
 from caresim.classical import PERFECT_RATING
 from caresim.infection import NEEDS_DOCTOR_THRESHOLD
 
@@ -142,13 +143,17 @@ def check_doctor_invariants(doctor: DoctorState, num_doctors: int, num_patients:
     assert isinstance(doctor.credential, Credential)
     check_tie_format(doctor.social_ties_doctors, num_doctors, doctor.doctor_id)
     check_tie_format(doctor.social_ties_patients, num_patients)
-    css = bool(doctor.social_ties_doctors)
-    assert bool(doctor.social_ties_patients) == css
-    assert len(doctor.respect_for_colleagues) == (num_doctors if css else 0)
-    for respect in doctor.respect_for_colleagues:
-        assert respect >= 0.0
-    if css:
-        assert doctor.respect_for_colleagues[doctor.doctor_id] == 0.0
+    assert bool(doctor.social_ties_patients) == bool(doctor.social_ties_doctors)
+
+
+def check_respect_rows(doctors: list[DoctorState], ledger: RatingLedger) -> None:
+    """Each css doctor's respect row has one slot per doctor, none negative,
+    and its own slot at 0.0."""
+    for doctor in doctors:
+        row = cognitive.update_respect_for_colleagues(doctor, doctors, ledger)
+        assert len(row) == len(doctors)
+        assert min(row) >= 0.0
+        assert row[doctor.doctor_id] == 0.0
 
 
 def check_patient_invariants(patient: PatientState, num_doctors: int, num_patients: int) -> None:

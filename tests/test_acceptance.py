@@ -35,6 +35,7 @@ from support import (
     StubRng,
     check_doctor_invariants,
     check_patient_invariants,
+    check_respect_rows,
     exhaustive_choose,
     ga_config,
     make_doctor,
@@ -188,29 +189,24 @@ def _example_classical_care():
 
 
 def _example_cognitive_care():
-    d0 = make_doctor(0, social_ties_doctors=[0.0, 0.5, 0.5], respect_for_colleagues=[0.0] * 3)
-    d1 = make_doctor(1, respect_for_colleagues=[2.0, 0.0, 0.0])
-    d2 = make_doctor(2, respect_for_colleagues=[4.0, 0.0, 0.0])
-    assert cog.mean_weighted_respects(d0, [d0, d1, d2]) == pytest.approx(3.0, abs=1e-9)
+    d0 = make_doctor(0, social_ties_doctors=[0.0, 0.5, 0.5])
+    respect = [[0.0] * 3, [2.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
+    assert cog.mean_weighted_respects(d0, respect) == pytest.approx(3.0, abs=1e-9)
     d0.social_ties_doctors = [0.0, 0.0, 0.0]
-    assert cog.mean_weighted_respects(d0, [d0, d1, d2]) == 0.0
+    assert cog.mean_weighted_respects(d0, respect) == 0.0
 
-    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.5], social_ties_patients=[0.5, 0.5],
-                            respect_for_colleagues=[0.0, 0.0])
+    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.5], social_ties_patients=[0.5, 0.5])
     colleague = make_doctor(1, credential=Credential.MEDIUM)
-    cog.update_respect_for_colleagues(evaluator, [evaluator, colleague],
-                                      _ledger((1, 0, 5), (1, 1, 3)))
-    assert evaluator.respect_for_colleagues[1] == pytest.approx(2.1, abs=1e-9)
-    unrated = make_doctor(0, social_ties_doctors=[0.0, 0.4], social_ties_patients=[1.0],
-                          respect_for_colleagues=[0.0, 0.0])
-    cog.update_respect_for_colleagues(unrated, [unrated, make_doctor(1, credential=Credential.HIGH)],
-                                      RatingLedger())
-    assert unrated.respect_for_colleagues[1] == pytest.approx(0.12, abs=1e-9)
+    row = cog.update_respect_for_colleagues(evaluator, [evaluator, colleague],
+                                            _ledger((1, 0, 5), (1, 1, 3)))
+    assert row == [0.0, pytest.approx(2.1, abs=1e-9)]
+    unrated = make_doctor(0, social_ties_doctors=[0.0, 0.4], social_ties_patients=[1.0])
+    row = cog.update_respect_for_colleagues(
+        unrated, [unrated, make_doctor(1, credential=Credential.HIGH)], RatingLedger())
+    assert row == [0.0, pytest.approx(0.12, abs=1e-9)]
 
-    confident = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
-                            respect_for_colleagues=[0.0, 0.0])
-    peer = make_doctor(1, respect_for_colleagues=[2.0, 0.0])
-    cog.update_confidence(confident, _ledger((0, 0, 4)), [confident, peer])
+    confident = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0])
+    cog.update_confidence(confident, _ledger((0, 0, 4)), [[0.0, 0.0], [2.0, 0.0]])
     assert confident.confidence == pytest.approx(3.0, abs=1e-9)
 
     boosted = make_doctor(credential=Credential.MEDIUM, empathy=0.3,
@@ -336,11 +332,14 @@ def _credential_rank(doctor):
     return list(Credential).index(doctor.credential)
 
 
-def _check_world(doctors, patients, credential_ranks):
+def _check_world(state, credential_ranks):
+    doctors, patients = state.doctors, state.patients
     for doctor in doctors:
         check_doctor_invariants(doctor, len(doctors), len(patients))
         assert _credential_rank(doctor) >= credential_ranks[doctor.doctor_id]
         credential_ranks[doctor.doctor_id] = _credential_rank(doctor)
+    if state.config.model is ModelKind.CSS:
+        check_respect_rows(doctors, state.ledger)
     for patient in patients:
         check_patient_invariants(patient, len(doctors), len(patients))
 
@@ -374,7 +373,7 @@ def _evolve_battery(model, steps, seed):
         snapshot = copy.deepcopy(population[slot])
         evo.evolve_population(population, ga_cfg, scores, mutate, crossover, rng)
         assert population[slot] == snapshot, "elite not preserved bitwise"
-        _check_world(state.doctors, state.patients, ranks)
+        _check_world(state, ranks)
 
 
 def _round_battery(model, rounds, seed):
@@ -389,7 +388,7 @@ def _round_battery(model, rounds, seed):
             ranks = {d.doctor_id: _credential_rank(d) for d in state.doctors}
         metrics = run_round(state, index % 50 + 1)
         assert metrics.treatments_performed <= cfg.num_doctors
-        _check_world(state.doctors, state.patients, ranks)
+        _check_world(state, ranks)
 
 
 def test_criterion_2_invariant_battery():
@@ -533,7 +532,6 @@ def test_criterion_7_css_reduces_to_classical():
         doctor.weight_mwres = 0.0
         doctor.social_ties_doctors = [0.0] * len(css.doctors)
         doctor.social_ties_patients = [0.0] * len(css.patients)
-        doctor.respect_for_colleagues = [0.0] * len(css.doctors)
     for patient in css.patients:
         patient.social_ties_doctors = [0.0] * len(css.doctors)
         patient.social_ties_patients = [0.0] * len(css.patients)

@@ -48,7 +48,6 @@ def test_classical_doctor_has_no_social_state():
     doctor = fresh_doctor(3)
     assert doctor.social_ties_doctors == []
     assert doctor.social_ties_patients == []
-    assert doctor.respect_for_colleagues == []
     assert doctor.confidence == 0.0
 
 
@@ -59,7 +58,9 @@ def test_css_doctor_social_state():
     assert all(0.0 < s < 1.0 for i, s in enumerate(doctor.social_ties_doctors) if i != 1)
     assert len(doctor.social_ties_patients) == NUM_PATIENTS
     assert all(0.0 <= s <= 1.0 for s in doctor.social_ties_patients)
-    assert doctor.respect_for_colleagues == [0.0] * NUM_DOCTORS
+    # Respect is built by each perception sweep, so ties are a doctor's only lists.
+    lists = [name for name, value in vars(doctor).items() if type(value) is list]
+    assert lists == ["social_ties_doctors", "social_ties_patients"]
     assert doctor.confidence == 0.0
     assert doctor.weight_wmrat == 0.5
     assert doctor.weight_mwres == 0.5
@@ -190,7 +191,7 @@ def test_deepcopy_is_equal_and_independent(model):
         run_round(state, round_index)
     assert any(p.health_history for p in state.patients)
     if model is ModelKind.CSS:
-        assert any(any(d.respect_for_colleagues) for d in state.doctors)
+        assert any(d.confidence for d in state.doctors)
         assert all(p.social_ties_patients for p in state.patients)
     for agent in state.doctors + state.patients:
         lists = {}

@@ -18,15 +18,8 @@ from caresim.cognitive import (
     update_respect_for_colleagues,
 )
 from caresim.evolution import crossover_doctor
+from caresim.ratings import tie_weighted_mean
 from support import StubRng, make_doctor, make_patient
-
-
-def trio():
-    return tuple(
-        make_doctor(i, social_ties_doctors=[0.0 if j == i else 0.5 for j in range(3)],
-                    respect_for_colleagues=[0.0] * 3)
-        for i in range(3)
-    )
 
 
 def test_round_to_tenth_half_away_from_zero():
@@ -38,17 +31,15 @@ def test_round_to_tenth_half_away_from_zero():
 
 
 def test_mean_weighted_respects_hand_cases():
-    d0, d1, d2 = trio()
-    d1.respect_for_colleagues[0] = 2.0
-    d2.respect_for_colleagues[0] = 4.0
-    assert mean_weighted_respects(d0, [d0, d1, d2]) == pytest.approx(3.0, abs=1e-9)
+    d0 = make_doctor(0, social_ties_doctors=[0.0, 0.5, 0.5])
+    respect = [[0.0] * 3, [2.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
+    assert mean_weighted_respects(d0, respect) == pytest.approx(3.0, abs=1e-9)
 
     d0.social_ties_doctors = [0.0, 0.0, 0.0]
-    assert mean_weighted_respects(d0, [d0, d1, d2]) == 0.0
+    assert mean_weighted_respects(d0, respect) == 0.0
 
-    solo = make_doctor(0, social_ties_doctors=[0.0, 0.3], respect_for_colleagues=[0.0, 0.0])
-    other = make_doctor(1, respect_for_colleagues=[1.7, 0.0])
-    assert mean_weighted_respects(solo, [solo, other]) == pytest.approx(1.7, abs=1e-9)
+    solo = make_doctor(0, social_ties_doctors=[0.0, 0.3])
+    assert mean_weighted_respects(solo, [[0.0, 0.0], [1.7, 0.0]]) == pytest.approx(1.7, abs=1e-9)
 
 
 def test_update_respect_for_colleagues_hand_cases():
@@ -59,36 +50,31 @@ def test_update_respect_for_colleagues_hand_cases():
         0,
         social_ties_doctors=[0.0, 0.5, 0.0],
         social_ties_patients=[0.5, 0.5],
-        respect_for_colleagues=[0.0] * 3,
     )
     colleague = make_doctor(1, credential=Credential.MEDIUM)
     stranger = make_doctor(2, credential=Credential.HIGH)
-    update_respect_for_colleagues(evaluator, [evaluator, colleague, stranger], ledger)
+    row = update_respect_for_colleagues(evaluator, [evaluator, colleague, stranger], ledger)
     # valuation for colleague: 5*0.5 + 3*0.5 = 4.0 -> 0.5 * (0.2 + 4.0)
-    assert evaluator.respect_for_colleagues[1] == pytest.approx(2.1, abs=1e-9)
-    assert evaluator.respect_for_colleagues[2] == 0.0
+    assert row == [0.0, pytest.approx(2.1, abs=1e-9), 0.0]
 
 
 def test_respect_for_unrated_colleague_uses_credential_only():
-    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.4], social_ties_patients=[1.0],
-                            respect_for_colleagues=[0.0, 0.0])
+    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.4], social_ties_patients=[1.0])
     colleague = make_doctor(1, credential=Credential.HIGH)
-    update_respect_for_colleagues(evaluator, [evaluator, colleague], RatingLedger())
-    assert evaluator.respect_for_colleagues[1] == pytest.approx(0.4 * 0.3, abs=1e-9)
+    row = update_respect_for_colleagues(evaluator, [evaluator, colleague], RatingLedger())
+    assert row == [0.0, pytest.approx(0.4 * 0.3, abs=1e-9)]
 
 
 def test_update_confidence_combines_both_parts():
     ledger = RatingLedger()
     ledger.add_rating(0, 0, 4)
     doctor = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
-                         respect_for_colleagues=[0.0, 0.0], weight_wmrat=0.5, weight_mwres=0.5)
-    peer = make_doctor(1, respect_for_colleagues=[2.0, 0.0])
-    update_confidence(doctor, ledger, [doctor, peer])
+                         weight_wmrat=0.5, weight_mwres=0.5)
+    update_confidence(doctor, ledger, [[0.0, 0.0], [2.0, 0.0]])
     assert doctor.confidence == pytest.approx(0.5 * 4.0 + 0.5 * 2.0, abs=1e-9)
 
-    silent = make_doctor(0, social_ties_patients=[0.0], social_ties_doctors=[0.0],
-                         respect_for_colleagues=[0.0])
-    update_confidence(silent, RatingLedger(), [silent])
+    silent = make_doctor(0, social_ties_patients=[0.0], social_ties_doctors=[0.0])
+    update_confidence(silent, RatingLedger(), [[0.0]])
     assert silent.confidence == 0.0
 
 
@@ -96,9 +82,8 @@ def test_update_confidence_projection():
     ledger = RatingLedger()
     ledger.add_rating(0, 0, 4)
     doctor = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
-                         respect_for_colleagues=[0.0, 0.0], weight_wmrat=1.0, weight_mwres=0.0)
-    peer = make_doctor(1, respect_for_colleagues=[2.0, 0.0])
-    update_confidence(doctor, ledger, [doctor, peer])
+                         weight_wmrat=1.0, weight_mwres=0.0)
+    update_confidence(doctor, ledger, [[0.0, 0.0], [2.0, 0.0]])
     assert doctor.confidence == pytest.approx(4.0, abs=1e-9)
 
 
@@ -211,13 +196,13 @@ def test_zero_ties_reduce_css_to_classical():
     # classical ones, save for rating granularity.
     doctor = make_doctor(0, credential=Credential.MEDIUM, empathy=0.45,
                          technological_resource_constraint=0.35, social_ties_doctors=[0.0, 0.0],
-                         social_ties_patients=[0.0] * 5, respect_for_colleagues=[0.0, 0.0])
-    peer = make_doctor(1, social_ties_doctors=[0.0, 0.0], social_ties_patients=[0.0] * 5,
-                       respect_for_colleagues=[0.0, 0.0])
+                         social_ties_patients=[0.0] * 5)
+    peer = make_doctor(1, social_ties_doctors=[0.0, 0.0], social_ties_patients=[0.0] * 5)
     ledger = RatingLedger()
     ledger.add_rating(0, 4, 3)
-    update_respect_for_colleagues(peer, [peer, doctor], ledger)
-    update_confidence(doctor, ledger, [doctor, peer])
+    respect = [update_respect_for_colleagues(d, [doctor, peer], ledger) for d in (doctor, peer)]
+    assert respect == [[0.0, 0.0], [0.0, 0.0]]
+    update_confidence(doctor, ledger, respect)
     assert doctor.confidence == 0.0
     # (0.2 + 0.45 + 0.0) x (1 - 0.35), the classical value.
     assert treatment_effectiveness(doctor) == pytest.approx(0.4225, abs=1e-12)
@@ -240,37 +225,49 @@ def test_weighted_means_invariant_under_tie_scaling(ties, scale):
     for pid in range(len(ties)):
         ledger.add_rating(0, pid, (pid % 6))
     doctor = make_doctor(0, social_ties_patients=list(ties), social_ties_doctors=[0.0, 0.5],
-                         respect_for_colleagues=[0.0, 0.0], weight_wmrat=1.0, weight_mwres=0.0)
-    update_confidence(doctor, ledger, [doctor])
+                         weight_wmrat=1.0, weight_mwres=0.0)
+    update_confidence(doctor, ledger, [[0.0, 0.0]])
     baseline = doctor.confidence
     doctor.social_ties_patients = [v * scale for v in ties]
-    update_confidence(doctor, ledger, [doctor])
+    update_confidence(doctor, ledger, [[0.0, 0.0]])
     assert doctor.confidence == pytest.approx(baseline, abs=1e-9)
 
 
 def test_respect_nonnegative_and_zero_when_untied():
     ledger = RatingLedger()
     ledger.add_rating(1, 0, 5)
-    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.0], social_ties_patients=[1.0],
-                            respect_for_colleagues=[0.0, 0.0])
+    evaluator = make_doctor(0, social_ties_doctors=[0.0, 0.0], social_ties_patients=[1.0])
     colleague = make_doctor(1, credential=Credential.HIGH)
-    update_respect_for_colleagues(evaluator, [evaluator, colleague], ledger)
-    assert evaluator.respect_for_colleagues[1] == 0.0
+    assert update_respect_for_colleagues(evaluator, [evaluator, colleague], ledger) == [0.0, 0.0]
 
 
 # A sweep recomputes every respect value from the current ratings, ties
 # and credentials, however those changed since the last sweep (new
 # ratings, tie edits, GA variation, an elite restore); these tests compare
-# every respect value, exactly, against a direct recomputation (the own
-# slot's zero tie gives the 0.0 it must hold).
+# every respect row, and the confidence the sweep committed from them,
+# exactly, against a direct recomputation (the own slot's zero tie gives
+# the 0.0 it must hold).
 
 def assert_respect_fresh(doctors, ledger):
+    expected = [
+        [
+            doctor.social_ties_doctors[colleague.doctor_id] * (
+                TREATMENT_FACTOR[colleague.credential]
+                + ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
+            )
+            for colleague in doctors
+        ]
+        for doctor in doctors
+    ]
+    assert [update_respect_for_colleagues(d, doctors, ledger) for d in doctors] == expected
     for doctor in doctors:
-        for colleague in doctors:
-            strength = doctor.social_ties_doctors[colleague.doctor_id]
-            valuation = ledger.weighted_valuation(colleague.doctor_id, doctor.social_ties_patients)
-            expected = strength * (TREATMENT_FACTOR[colleague.credential] + valuation)
-            assert doctor.respect_for_colleagues[colleague.doctor_id] == expected
+        respects = tie_weighted_mean(
+            (expected[colleague.doctor_id][doctor.doctor_id],
+             doctor.social_ties_doctors[colleague.doctor_id])
+            for colleague in doctors
+        )
+        ratings = ledger.mean_weighted_ratings(doctor.doctor_id, doctor.social_ties_patients)
+        assert doctor.confidence == doctor.weight_wmrat * ratings + doctor.weight_mwres * respects
 
 
 def rated_clinic():
@@ -281,7 +278,6 @@ def rated_clinic():
             credential=credential,
             social_ties_doctors=[0.0 if j == i else 0.3 + 0.2 * j for j in range(3)],
             social_ties_patients=[0.1 + 0.15 * ((p + i) % 4) for p in range(4)],
-            respect_for_colleagues=[0.0] * 3,
         )
         for i, credential in enumerate((Credential.LOW, Credential.MEDIUM, Credential.HIGH))
     ]

@@ -18,7 +18,7 @@ from caresim.config import ConfigError
 from caresim.engine import METRIC_FIELDS, aggregate_rounds
 from caresim.evolution import fitness_doctor, fitness_patient
 from caresim.infection import needs_doctor
-from support import check_doctor_invariants, check_patient_invariants, run_to_end
+from support import check_doctor_invariants, check_patient_invariants, check_respect_rows, run_to_end
 
 
 def small_config(model="classical", **overrides):
@@ -217,8 +217,9 @@ def test_invariants_hold_after_full_run():
                 assert doctor.confidence == 0.0
                 assert doctor.social_ties_doctors == []
                 assert doctor.social_ties_patients == []
-                assert doctor.respect_for_colleagues == []
                 assert (doctor.weight_wmrat, doctor.weight_mwres) == (0.5, 0.5)
+        if model == "css":
+            check_respect_rows(state.doctors, state.ledger)
         for patient in state.patients:
             check_patient_invariants(patient, *sizes)
             if model == "classical":
@@ -247,15 +248,21 @@ def test_classical_run_never_snapshots():
 
 def test_snapshot_schedule_without_sink_is_rejected_before_round_one(monkeypatch):
     rounds = []
+    inits = []
     real_run_round = engine.run_round
+    real_init = engine.init_run_state
     monkeypatch.setattr(engine, "run_round",
                         lambda state, r: rounds.append(r) or real_run_round(state, r))
+    # Full-scale css init draws 1.2M ties, so the sink is checked before it.
+    monkeypatch.setattr(engine, "init_run_state",
+                        lambda config, seed: inits.append(seed) or real_init(config, seed))
     cfg = small_config("css", num_repeats=2, snapshot_every=2)
     with pytest.raises(ValueError, match="no on_snapshot sink"):
         run_simulation(cfg, 1)
     with pytest.raises(ValueError, match="no on_snapshot sink"):
         run_batch(cfg)
     assert rounds == []
+    assert inits == []
 
 
 def test_batch_passes_snapshots_to_sink_in_repeat_order():

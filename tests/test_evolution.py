@@ -151,7 +151,6 @@ def css_doctor(**overrides):
     return make_doctor(
         social_ties_doctors=[0.0, 0.5, 0.5],
         social_ties_patients=[0.5],
-        respect_for_colleagues=[0.0] * 3,
         **overrides,
     )
 
@@ -216,8 +215,7 @@ def test_mutate_css_doctor_tie_index_skips_own_id():
 def test_mutate_css_lone_doctor_falls_back_to_patient_ties():
     # A doctor without peers holds only its own slot, so the doctor-tie
     # pick falls through to a patient tie.
-    doctor = make_doctor(social_ties_doctors=[0.0], social_ties_patients=[0.5, 0.5],
-                         respect_for_colleagues=[0.0])
+    doctor = make_doctor(social_ties_doctors=[0.0], social_ties_patients=[0.5, 0.5])
     stub = StubRng(uniform=[0.04], random=[0.9, 0.4], sign=[1], choice_index=[1])
     mutate_doctor_css(doctor, RatingLedger(), stub)
     assert doctor.social_ties_doctors == [0.0]
@@ -486,7 +484,7 @@ def test_evolve_is_pure_function_of_seed():
         ledger.add_rating(i, 0, (i * 2) % 6)
     make_population = lambda: [make_doctor(
         i, social_ties_doctors=[0.0 if j == i else 0.2 + 0.1 * j for j in range(6)],
-        social_ties_patients=[0.5], respect_for_colleagues=[0.0] * 6) for i in range(6)]
+        social_ties_patients=[0.5]) for i in range(6)]
     results = []
     for _ in range(2):
         doctors = make_population()
