@@ -10,8 +10,9 @@ simply carry empty tie lists; every tie-weighted aggregation then reads
 as zero, and the shared GA operators find no tie to perturb or average.
 Their doctors also keep both confidence weights at 0.5 for the whole
 run (only css mutation moves them), so averaging two of them in
-crossover changes nothing.  A doctor stores no respect for colleagues:
-each css perception sweep builds the respect matrix and sets confidence.
+crossover changes nothing.  A doctor stores no round-local state: each
+css perception sweep builds the respect matrix and returns confidence,
+and the round keeps the set of doctors who have treated.
 
 Initialization draw order (one :class:`~caresim.rng.RngStream` per run):
 
@@ -71,10 +72,8 @@ class DoctorState(_Agent):
     personal_resource: float = 1.0 - PERSONAL_RESOURCE_CONSTRAINT
     technological_resource_constraint: float = 0.2
     credential: Credential = Credential.LOW
-    is_busy: bool = False
     social_ties_doctors: list[float] = field(default_factory=list)
     social_ties_patients: list[float] = field(default_factory=list)
-    confidence: float = 0.0
     weight_wmrat: float = 0.5
     weight_mwres: float = 0.5
 

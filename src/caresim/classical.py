@@ -1,10 +1,9 @@
 """Classical-model care loop: treatment, credential progression, judgment,
 doctor choice, health update, and integer rating.
 
-Busy semantics: a doctor serves exactly one patient per round.  The busy
-flag is set by :func:`treat_patient` and cleared only by the engine's
-round-start reset, which is what makes the availability filter in
-:func:`choose_doctor` meaningful.
+Busy semantics: a doctor serves exactly one patient per round.  The
+engine's round keeps the set of ids that have treated, and
+:func:`choose_doctor` skips every id in it.
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ JudgeFn = Callable[[PatientState, DoctorState, RatingLedger], float]
 RateFn = Callable[[PatientState, DoctorState], float]
 
 
-def treatment_effectiveness(doctor: DoctorState) -> float:
+def treatment_effectiveness(doctor: DoctorState, confidence: float) -> float:
     """Capped (credential factor + empathy + confidence) x (1 - technology
-    constraint).  Only css doctors ever hold a nonzero confidence."""
-    raw = (TREATMENT_FACTOR[doctor.credential] + doctor.empathy + doctor.confidence) * (
+    constraint).  Confidence is the css sweep's value; classical passes 0.0."""
+    raw = (TREATMENT_FACTOR[doctor.credential] + doctor.empathy + confidence) * (
         1.0 - doctor.technological_resource_constraint
     )
     return min(EFFECTIVENESS_CAP, raw)
@@ -62,14 +61,9 @@ def upgrade_credential(doctor: DoctorState) -> None:
         doctor.credential = Credential.HIGH
 
 
-def treat_patient(doctor: DoctorState) -> float:
-    """Deliver one treatment: marks the doctor busy for the rest of the
-    round, gains experience, and may upgrade the credential.  A busy
-    doctor treats nobody and returns zero effectiveness."""
-    if doctor.is_busy:
-        return 0.0
-    doctor.is_busy = True
-    effectiveness = treatment_effectiveness(doctor)
+def treat_patient(doctor: DoctorState, confidence: float) -> float:
+    """Deliver one treatment: gains experience, and may upgrade the credential."""
+    effectiveness = treatment_effectiveness(doctor, confidence)
     doctor.experience += 1
     upgrade_credential(doctor)
     return effectiveness
@@ -88,25 +82,27 @@ def choose_doctor(
     patient: PatientState,
     doctors: list[DoctorState],
     ledger: RatingLedger,
-    judge: JudgeFn = judge_doctor,
+    judge: JudgeFn,
+    busy: set[int],
 ) -> int | None:
     """Pick a doctor id for a patient who needs care, or None.
 
-    Loyalty first: when the patient's last doctor carries their stored
-    perfect rating of 5 and is free, that doctor is kept regardless of
-    judgment scores.  Otherwise the free doctor with the highest judgment
-    wins.  Score ties break toward the lowest doctor id.
+    A doctor whose id is in ``busy`` has treated this round and is not
+    free.  Loyalty first: when the patient's last doctor carries their
+    stored perfect rating of 5 and is free, that doctor is kept regardless
+    of judgment scores.  Otherwise the free doctor with the highest
+    judgment wins.  Score ties break toward the lowest doctor id.
     """
     if not needs_doctor(patient):
         return None
     last = patient.last_doctor_id
-    if last is not None and ledger.rating_by_patient(last, patient.patient_id) == PERFECT_RATING:
-        if any(d.doctor_id == last and not d.is_busy for d in doctors):
-            return last
+    if (last is not None and last not in busy
+            and ledger.rating_by_patient(last, patient.patient_id) == PERFECT_RATING):
+        return last
     best_id = None
     best_score = float("-inf")
     for doctor in doctors:
-        if doctor.is_busy:
+        if doctor.doctor_id in busy:
             continue
         score = judge(patient, doctor, ledger)
         if score > best_score or (score == best_score and doctor.doctor_id < best_id):
@@ -131,10 +127,10 @@ def rate_doctor(patient: PatientState, doctor: DoctorState) -> int:
 
 
 def exchange_treatment(
-    patient: PatientState, doctor: DoctorState, ledger: RatingLedger, rate: RateFn
+    patient: PatientState, doctor: DoctorState, ledger: RatingLedger, confidence: float, rate: RateFn
 ) -> float:
     """Treat, heal, clear the infection, and record and return ``rate``'s rating."""
-    effectiveness = treat_patient(doctor) * (1.0 - patient.resilience)
+    effectiveness = treat_patient(doctor, confidence) * (1.0 - patient.resilience)
     update_health_level(patient, effectiveness)
     patient.is_infected = False
     rating = rate(patient, doctor)
@@ -142,6 +138,8 @@ def exchange_treatment(
     return float(rating)
 
 
-def receive_treatment(patient: PatientState, doctor: DoctorState, ledger: RatingLedger) -> float:
+def receive_treatment(
+    patient: PatientState, doctor: DoctorState, ledger: RatingLedger, confidence: float
+) -> float:
     """Full treatment exchange with the integer rating."""
-    return exchange_treatment(patient, doctor, ledger, rate_doctor)
+    return exchange_treatment(patient, doctor, ledger, confidence, rate_doctor)

@@ -8,9 +8,9 @@ through their own tie strengths.  Ratings here are one-decimal reals.
 Ties and respect rows are lists indexed by peer id.  An agent's own slot
 is 0.0, so a weighted sum over every slot needs no self-exclusion.
 
-Respect is no agent state: the engine's perception sweep builds the
-respect matrix, one row per doctor, and passes it to every confidence
-update.
+Respect and confidence are no agent state: the engine's perception
+sweep builds the respect matrix, one row per doctor, and returns each
+doctor's confidence from it for the round's treatments.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ def update_confidence(
     doctor: DoctorState,
     ledger: RatingLedger,
     respect: list[list[float]],
-) -> None:
-    """Commit confidence from the doctor's tie-weighted ratings and the
+) -> float:
+    """The doctor's confidence from its tie-weighted ratings and the
     sweep's respect matrix."""
     ratings_part = ledger.mean_weighted_ratings(doctor.doctor_id, doctor.social_ties_patients)
     respects_part = mean_weighted_respects(doctor, respect)
-    doctor.confidence = doctor.weight_wmrat * ratings_part + doctor.weight_mwres * respects_part
+    return doctor.weight_wmrat * ratings_part + doctor.weight_mwres * respects_part
 
 
 def judge_doctor_css(patient: PatientState, doctor: DoctorState, ledger: RatingLedger) -> float:
@@ -110,8 +110,8 @@ def rate_doctor_css(patient: PatientState, doctor: DoctorState) -> float:
 
 
 def receive_treatment_css(
-    patient: PatientState, doctor: DoctorState, ledger: RatingLedger
+    patient: PatientState, doctor: DoctorState, ledger: RatingLedger, confidence: float
 ) -> float:
     """Full treatment exchange with the tie-boosted one-decimal rating;
-    effectiveness uses the confidence committed by the round's sweep."""
-    return exchange_treatment(patient, doctor, ledger, rate_doctor_css)
+    the engine passes the doctor's confidence from the round's sweep."""
+    return exchange_treatment(patient, doctor, ledger, confidence, rate_doctor_css)

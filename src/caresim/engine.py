@@ -3,19 +3,18 @@
 One round (mini-generation) executes, in order:
 
 1. Spread the configured number of infections among eligible patients.
-2. Reset all busy flags.
-3. Sort the patients below the care threshold (the seekers) by triage
+2. Sort the patients below the care threshold (the seekers) by triage
    priority, ties by ascending patient id.
-4. css only, and only when there is a seeker: build the respect matrix
-   and commit every doctor's confidence from it.  Confidence is read
-   only by a treatment, and infection changes none of the sweep's
-   inputs, so skipping the sweep in rounds without a seeker changes no
-   output.
-5. Let each seeker in triage order pick a free doctor and be treated;
-   seekers who find nobody free are counted as untreated.
-6. Score every agent once, then evolve the patient population, then the
+3. css only, and only when there is a seeker: build the respect matrix,
+   and the sweep returns every doctor's confidence from it.  Confidence
+   is read only by a treatment, and infection changes none of the
+   sweep's inputs, so skipping the sweep in rounds without a seeker
+   changes no output.  Classical doctors treat with confidence 0.0.
+4. Let each seeker in triage order pick a doctor not yet busy this round
+   and be treated; seekers who find nobody free are counted as untreated.
+5. Score every agent once, then evolve the patient population, then the
    doctor population, from those scores.
-7. Compute the round's population metrics; the fitness means reuse the
+6. Compute the round's population metrics; the fitness means reuse the
    scores, since a generation step changes no fitness input.
 
 Health history records post-treatment levels only (the treatment step
@@ -147,12 +146,11 @@ def init_run_state(config: SimulationConfig, run_seed: int) -> RunState:
     )
 
 
-def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) -> None:
+def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) -> list[float]:
     """css sweep before a round's first treatment: every doctor's confidence
-    from the respect matrix, one row per doctor."""
+    from the respect matrix, one row per doctor, indexed by doctor id."""
     respect = [cognitive.update_respect_for_colleagues(d, doctors, ledger) for d in doctors]
-    for doctor in doctors:
-        cognitive.update_confidence(doctor, ledger, respect)
+    return [cognitive.update_confidence(d, ledger, respect) for d in doctors]
 
 
 def run_round(state: RunState, round_index: int) -> RoundMetrics:
@@ -162,9 +160,6 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
         state.patients, cfg.num_infected_per_round, state.counter, state.rng
     )
 
-    for doctor in state.doctors:
-        doctor.is_busy = False
-
     # A treatment changes only its own patient, so who seeks care this
     # round is settled before the first treatment.
     seekers = sorted(
@@ -172,18 +167,23 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
         key=lambda p: (*priority(p), p.patient_id),
     )
     if css and seekers:
-        refresh_social_perception(state.doctors, state.ledger)
+        confidence = refresh_social_perception(state.doctors, state.ledger)
+    else:
+        confidence = [0.0] * len(state.doctors)
 
     treatments = 0
     untreated = 0
+    busy: set[int] = set()
     judge = cognitive.judge_doctor_css if css else classical.judge_doctor
     treat = cognitive.receive_treatment_css if css else classical.receive_treatment
     for patient in seekers:
-        chosen = classical.choose_doctor(patient, state.doctors, state.ledger, judge)
+        chosen = classical.choose_doctor(patient, state.doctors, state.ledger, judge, busy)
         if chosen is None:
             untreated += 1
             continue
-        treat(patient, state.doctors[chosen], state.ledger)  # doctors[i] has id i
+        busy.add(chosen)
+        # doctors[i] has id i
+        treat(patient, state.doctors[chosen], state.ledger, confidence[chosen])
         treatments += 1
 
     rng, ledger = state.rng, state.ledger

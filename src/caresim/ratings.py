@@ -64,11 +64,13 @@ class RatingLedger:
         )
 
     def weighted_valuation(self, doctor_id: int, ties: list[float]) -> float:
-        """Unnormalized sum of the doctor's ratings weighted by ``ties[patient_id]``."""
-        current = self._by_doctor.get(doctor_id)
-        if not current:
-            return 0.0
-        return sum(rating * ties[patient_id] for patient_id, rating in current.items())
+        """Unnormalized sum of the doctor's ratings weighted by ``ties[patient_id]``,
+        a left fold in rating order: ``sum()`` of floats is compensated since
+        CPython 3.12, so it would round differently between interpreters."""
+        total = 0.0
+        for patient_id, rating in self._by_doctor.get(doctor_id, _EMPTY).items():
+            total += rating * ties[patient_id]
+        return total
 
     def ratings_for(self, doctor_id: int):
         """Read-only view of the doctor's current per-patient ratings."""

@@ -139,7 +139,6 @@ def check_doctor_invariants(doctor: DoctorState, num_doctors: int, num_patients:
     assert 0.0 <= doctor.weight_mwres <= 1.0
     assert doctor.personal_resource >= 0.0
     assert doctor.experience >= 0
-    assert doctor.confidence >= 0.0
     assert isinstance(doctor.credential, Credential)
     check_tie_format(doctor.social_ties_doctors, num_doctors, doctor.doctor_id)
     check_tie_format(doctor.social_ties_patients, num_patients)
@@ -177,12 +176,14 @@ def exhaustive_choose(
     doctors: list[DoctorState],
     ledger: RatingLedger,
     judge,
+    busy: set[int],
 ) -> int | None:
-    """Brute-force reference for choose_doctor: score every candidate, pick
-    the max by (judgment, lowest id), honoring the loyalty rule first."""
+    """Brute-force reference for choose_doctor: score every candidate not in
+    ``busy``, pick the max by (judgment, lowest id), honoring the loyalty
+    rule first."""
     if patient.health_level >= NEEDS_DOCTOR_THRESHOLD:
         return None
-    free = [d for d in doctors if not d.is_busy]
+    free = [d for d in doctors if d.doctor_id not in busy]
     if not free:
         return None
     last = patient.last_doctor_id

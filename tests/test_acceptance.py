@@ -28,6 +28,7 @@ from caresim import (
 )
 from caresim import classical as cl
 from caresim import cognitive as cog
+from caresim import engine
 from caresim import evolution as evo
 from caresim.cli import main as cli_main
 from caresim.infection import InfectionCounter, infect, needs_doctor, priority, spread_infection
@@ -132,9 +133,9 @@ def _example_infection():
 def _example_classical_care():
     doctor = make_doctor(credential=Credential.HIGH, empathy=0.7,
                          technological_resource_constraint=0.5)
-    assert cl.treatment_effectiveness(doctor) == pytest.approx(0.5, abs=1e-9)
+    assert cl.treatment_effectiveness(doctor, 0.0) == pytest.approx(0.5, abs=1e-9)
     doctor.technological_resource_constraint = 0.0
-    assert cl.treatment_effectiveness(doctor) == pytest.approx(0.7, abs=1e-9)
+    assert cl.treatment_effectiveness(doctor, 0.0) == pytest.approx(0.7, abs=1e-9)
 
     boundary = make_doctor(credential=Credential.LOW, research_ability=0.5, experience=50)
     cl.upgrade_credential(boundary)
@@ -143,12 +144,11 @@ def _example_classical_care():
     cl.upgrade_credential(jumper)
     assert jumper.credential is Credential.MEDIUM
 
-    busy = make_doctor(is_busy=True)
-    assert cl.treat_patient(busy) == 0.0 and busy.experience == 0
     free = make_doctor()
-    assert cl.treat_patient(free) == pytest.approx(cl.treatment_effectiveness(free), abs=1e-12)
+    assert cl.treat_patient(free, 0.0) == pytest.approx(
+        cl.treatment_effectiveness(free, 0.0), abs=1e-12)
     veteran = make_doctor(credential=Credential.LOW, research_ability=0.6, experience=49)
-    cl.treat_patient(veteran)
+    cl.treat_patient(veteran, 0.0)
     assert veteran.credential is Credential.MEDIUM
 
     ledger = _ledger((0, 5, 3), (0, 6, 4), (0, 7, 2), (0, 1, 4))
@@ -160,12 +160,12 @@ def _example_classical_care():
     assert cl.judge_doctor(past_only, make_doctor(9), RatingLedger()) == 0.0
 
     sick = make_patient(1, health_level=0.4)
-    assert cl.choose_doctor(sick, [make_doctor(0, is_busy=True)], RatingLedger()) is None
+    assert cl.choose_doctor(sick, [make_doctor(0)], RatingLedger(), cl.judge_doctor, {0}) is None
     loyal = make_patient(1, health_level=0.4, last_doctor_id=2,
                          cred_weight=1.0, mean_rating_weight=0.0, past_rating_weight=0.0)
     loyal_ledger = _ledger((2, 1, 5))
     star, old = make_doctor(0, credential=Credential.HIGH), make_doctor(2, credential=Credential.LOW)
-    assert cl.choose_doctor(loyal, [star, old], loyal_ledger) == 2
+    assert cl.choose_doctor(loyal, [star, old], loyal_ledger, cl.judge_doctor, set()) == 2
 
     healed = make_patient(health_level=0.05)
     cl.update_health_level(healed, 0.0)
@@ -180,11 +180,11 @@ def _example_classical_care():
                         technological_resource_constraint=0.5)
     taker = make_patient(1, health_level=0.4, resilience=0.2)
     exchange = RatingLedger()
-    assert cl.receive_treatment(taker, giver, exchange) == 5
+    assert cl.receive_treatment(taker, giver, exchange, 0.0) == 5
     assert taker.health_level == pytest.approx(0.8, abs=1e-9)
     capped = make_patient(1, health_level=0.95, resilience=0.0)
     cl.receive_treatment(capped, make_doctor(4, credential=Credential.HIGH, empathy=0.4,
-                                             technological_resource_constraint=0.5), exchange)
+                                             technological_resource_constraint=0.5), exchange, 0.0)
     assert capped.health_level == 1.0
 
 
@@ -206,14 +206,14 @@ def _example_cognitive_care():
     assert row == [0.0, pytest.approx(0.12, abs=1e-9)]
 
     confident = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0])
-    cog.update_confidence(confident, _ledger((0, 0, 4)), [[0.0, 0.0], [2.0, 0.0]])
-    assert confident.confidence == pytest.approx(3.0, abs=1e-9)
+    confidence = cog.update_confidence(confident, _ledger((0, 0, 4)), [[0.0, 0.0], [2.0, 0.0]])
+    assert confidence == pytest.approx(3.0, abs=1e-9)
 
     boosted = make_doctor(credential=Credential.MEDIUM, empathy=0.3,
-                          technological_resource_constraint=0.5, confidence=3.0)
-    assert cl.treatment_effectiveness(boosted) == pytest.approx(0.7, abs=1e-9)
-    calm = make_doctor(confidence=0.0)
-    assert cl.treatment_effectiveness(calm) == pytest.approx(0.49, abs=1e-12)
+                          technological_resource_constraint=0.5)
+    assert cl.treatment_effectiveness(boosted, 3.0) == pytest.approx(0.7, abs=1e-9)
+    calm = make_doctor()
+    assert cl.treatment_effectiveness(calm, 0.0) == pytest.approx(0.49, abs=1e-12)
 
     judge = make_patient(1, social_ties_doctors=[0.5],
                          social_ties_patients=[0.0, 0.0, 0.5, 0.5])
@@ -409,13 +409,15 @@ def test_criterion_2_invariant_battery():
 def _random_instance(rng, css):
     num_doctors = 1 + rng.index(10)
     doctors = []
+    busy = set()
     for i in range(num_doctors):
         doctors.append(make_doctor(
             i,
             credential=rng.choice(list(Credential)),
             empathy=rng.uniform(0, 1),
-            is_busy=rng.chance(0.3),
         ))
+        if rng.chance(0.3):
+            busy.add(i)
     patient = make_patient(0, health_level=rng.uniform(0.1, 0.7))
     raw = [rng.uniform(0, 1) for _ in range(3)]
     total = sum(raw)
@@ -434,7 +436,7 @@ def _random_instance(rng, css):
         patient.last_doctor_id = last
         if rng.chance(0.7):
             ledger.add_rating(last, 0, 5.0)
-    return patient, doctors, ledger
+    return patient, doctors, ledger, busy
 
 
 def test_criterion_3_choice_oracle():
@@ -444,12 +446,12 @@ def test_criterion_3_choice_oracle():
     for case in range(1000):
         css = case % 2 == 1
         judge = cog.judge_doctor_css if css else cl.judge_doctor
-        patient, doctors, ledger = _random_instance(rng, css)
+        patient, doctors, ledger, busy = _random_instance(rng, css)
         if patient.last_doctor_id is not None and \
                 ledger.rating_by_patient(patient.last_doctor_id, 0) == 5:
             loyalty_cases += 1
-        assert cl.choose_doctor(patient, doctors, ledger, judge) == exhaustive_choose(
-            patient, doctors, ledger, judge)
+        assert cl.choose_doctor(patient, doctors, ledger, judge, busy) == exhaustive_choose(
+            patient, doctors, ledger, judge, busy)
     elapsed = time.perf_counter() - started
     report(3, "choice oracle", elapsed < 5.0 and loyalty_cases > 100,
            f"1000 instances ({loyalty_cases} loyalty-armed) in {elapsed:.1f}s")
@@ -519,7 +521,7 @@ def test_criterion_6_cross_model_ordering(full_scale_batches):
     "(see decisions ledger); the operation-level reductions hold and are "
     "unit-tested in test_cognitive.py",
 )
-def test_criterion_7_css_reduces_to_classical():
+def test_criterion_7_css_reduces_to_classical(monkeypatch):
     seed = 424242
     kwargs = dict(num_doctors=15, num_patients=100, num_rounds=20,
                   num_infected_per_round=100, mutation_chance=0.0,
@@ -535,19 +537,29 @@ def test_criterion_7_css_reduces_to_classical():
     for patient in css.patients:
         patient.social_ties_doctors = [0.0] * len(css.doctors)
         patient.social_ties_patients = [0.0] * len(css.patients)
+    # The css run's confidence lists, one per sweep; with zero ties and
+    # weights every entry must be 0.0, the classical value.
+    sweeps = []
+    original = engine.refresh_social_perception
+
+    def recorded(doctors, ledger):
+        sweeps.append(original(doctors, ledger))
+        return sweeps[-1]
+
+    monkeypatch.setattr(engine, "refresh_social_perception", recorded)
 
     count_diffs = []
     health_diffs = 0
     for round_index in range(1, 21):
         classical_metrics = run_round(classical, round_index)
         css_metrics = run_round(css, round_index)
-        assert all(d.confidence == 0.0 for d in css.doctors)
         if classical_metrics.treatments_performed != css_metrics.treatments_performed:
             count_diffs.append(round_index)
         health_diffs += sum(
             abs(a.health_level - b.health_level) > 1e-9
             for a, b in zip(classical.patients, css.patients)
         )
+    assert sweeps and all(confidence == [0.0] * len(css.doctors) for confidence in sweeps)
     ok = not count_diffs and health_diffs == 0
     report(7, "css reduces to classical", ok,
            f"count mismatches in rounds {count_diffs}, {health_diffs} health mismatches")

@@ -40,7 +40,6 @@ def test_doctor_draw_ranges():
         assert 0.2 <= doctor.technological_resource_constraint <= 0.5
         assert doctor.personal_resource == pytest.approx(0.2)
         assert doctor.experience == 0
-        assert not doctor.is_busy
         assert doctor.credential in (Credential.LOW, Credential.MEDIUM, Credential.HIGH)
 
 
@@ -48,7 +47,6 @@ def test_classical_doctor_has_no_social_state():
     doctor = fresh_doctor(3)
     assert doctor.social_ties_doctors == []
     assert doctor.social_ties_patients == []
-    assert doctor.confidence == 0.0
 
 
 def test_css_doctor_social_state():
@@ -61,7 +59,6 @@ def test_css_doctor_social_state():
     # Respect is built by each perception sweep, so ties are a doctor's only lists.
     lists = [name for name, value in vars(doctor).items() if type(value) is list]
     assert lists == ["social_ties_doctors", "social_ties_patients"]
-    assert doctor.confidence == 0.0
     assert doctor.weight_wmrat == 0.5
     assert doctor.weight_mwres == 0.5
 
@@ -190,8 +187,8 @@ def test_deepcopy_is_equal_and_independent(model):
     for round_index in range(1, 4):
         run_round(state, round_index)
     assert any(p.health_history for p in state.patients)
+    assert any(d.experience for d in state.doctors)
     if model is ModelKind.CSS:
-        assert any(d.confidence for d in state.doctors)
         assert all(p.social_ties_patients for p in state.patients)
     for agent in state.doctors + state.patients:
         lists = {}

@@ -17,11 +17,11 @@ from support import exhaustive_choose, make_doctor, make_patient
 
 def test_effectiveness_hand_cases():
     doctor = make_doctor(credential=Credential.HIGH, empathy=0.7, technological_resource_constraint=0.5)
-    assert treatment_effectiveness(doctor) == pytest.approx(0.5, abs=1e-9)
+    assert treatment_effectiveness(doctor, 0.0) == pytest.approx(0.5, abs=1e-9)
     doctor.technological_resource_constraint = 0.0
-    assert treatment_effectiveness(doctor) == pytest.approx(0.7, abs=1e-9)
+    assert treatment_effectiveness(doctor, 0.0) == pytest.approx(0.7, abs=1e-9)
     zero = make_doctor(credential=Credential.LOW, empathy=0.0, technological_resource_constraint=1.0)
-    assert treatment_effectiveness(zero) == 0.0
+    assert treatment_effectiveness(zero, 0.0) == 0.0
 
 
 @given(
@@ -31,7 +31,7 @@ def test_effectiveness_hand_cases():
 )
 def test_effectiveness_always_capped(credential, empathy, trc):
     doctor = make_doctor(credential=credential, empathy=empathy, technological_resource_constraint=trc)
-    assert 0.0 <= treatment_effectiveness(doctor) <= 0.7
+    assert 0.0 <= treatment_effectiveness(doctor, 0.0) <= 0.7
 
 
 def test_upgrade_boundary_and_single_step():
@@ -68,30 +68,22 @@ def test_credential_monotone_under_treatments(seed):
     order = list(Credential)
     rank = order.index(doctor.credential)
     for _ in range(120):
-        doctor.is_busy = False
-        treat_patient(doctor)
+        treat_patient(doctor, 0.0)
         assert order.index(doctor.credential) >= rank
         rank = order.index(doctor.credential)
 
 
-def test_treat_busy_doctor_is_noop():
-    doctor = make_doctor(is_busy=True)
-    assert treat_patient(doctor) == 0.0
-    assert doctor.experience == 0
-
-
-def test_treat_marks_busy_and_gains_experience():
+def test_treat_gains_experience():
     doctor = make_doctor()
-    effectiveness = treat_patient(doctor)
-    assert effectiveness == pytest.approx(treatment_effectiveness(doctor), abs=1e-12)
-    assert doctor.is_busy
+    effectiveness = treat_patient(doctor, 0.0)
+    assert effectiveness == pytest.approx(treatment_effectiveness(doctor, 0.0), abs=1e-12)
     assert doctor.experience == 1
 
 
 def test_fiftieth_treatment_upgrades_after_the_call():
     doctor = make_doctor(credential=Credential.LOW, research_ability=0.6, experience=49,
                          empathy=0.5, technological_resource_constraint=0.4)
-    effectiveness = treat_patient(doctor)
+    effectiveness = treat_patient(doctor, 0.0)
     # The treatment itself still used the low-credential factor.
     assert effectiveness == pytest.approx((0.1 + 0.5) * 0.6, abs=1e-9)
     assert doctor.experience == 50
@@ -119,14 +111,14 @@ def test_judge_hand_cases():
 
 def test_choose_none_when_all_busy():
     patient = make_patient(health_level=0.4)
-    doctors = [make_doctor(i, is_busy=True) for i in range(3)]
-    assert choose_doctor(patient, doctors, RatingLedger()) is None
+    doctors = [make_doctor(i) for i in range(3)]
+    assert choose_doctor(patient, doctors, RatingLedger(), judge_doctor, {0, 1, 2}) is None
 
 
 def test_choose_none_when_healthy():
     patient = make_patient(health_level=0.9)
     doctors = [make_doctor(0)]
-    assert choose_doctor(patient, doctors, RatingLedger()) is None
+    assert choose_doctor(patient, doctors, RatingLedger(), judge_doctor, set()) is None
 
 
 def test_loyalty_overrides_judgment():
@@ -136,7 +128,7 @@ def test_loyalty_overrides_judgment():
     mediocre = make_doctor(2, credential=Credential.LOW, empathy=0.2)
     star = make_doctor(0, credential=Credential.HIGH, empathy=0.7)
     ledger.add_rating(0, 9, 5)
-    assert choose_doctor(patient, [star, mediocre], ledger) == 2
+    assert choose_doctor(patient, [star, mediocre], ledger, judge_doctor, set()) == 2
 
 
 def test_loyalty_requires_exact_five_and_free_doctor():
@@ -147,32 +139,33 @@ def test_loyalty_requires_exact_five_and_free_doctor():
     ledger.add_rating(2, 1, 4)
     star = make_doctor(0, credential=Credential.HIGH)
     old = make_doctor(2, credential=Credential.LOW)
-    assert choose_doctor(patient, [star, old], ledger) == 0
+    assert choose_doctor(patient, [star, old], ledger, judge_doctor, set()) == 0
 
     ledger.add_rating(2, 1, 5)
-    assert choose_doctor(patient, [star, old], ledger) == 2
-    old.is_busy = True
-    assert choose_doctor(patient, [star, old], ledger) == 0
+    assert choose_doctor(patient, [star, old], ledger, judge_doctor, set()) == 2
+    assert choose_doctor(patient, [star, old], ledger, judge_doctor, {2}) == 0
 
 
 def test_choose_breaks_ties_by_lowest_id():
     patient = make_patient(1, health_level=0.4)
     doctors = [make_doctor(i, credential=Credential.MEDIUM) for i in (3, 1, 2)]
-    assert choose_doctor(patient, doctors, RatingLedger()) == 1
+    assert choose_doctor(patient, doctors, RatingLedger(), judge_doctor, set()) == 1
 
 
 def _random_choice_instance(rng):
     num_doctors = 1 + rng.index(10)
     doctors = []
+    busy = set()
     for i in range(num_doctors):
         doctors.append(
             make_doctor(
                 i,
                 credential=rng.choice(list(Credential)),
                 empathy=rng.uniform(0, 1),
-                is_busy=rng.chance(0.3),
             )
         )
+        if rng.chance(0.3):
+            busy.add(i)
     ledger = RatingLedger()
     patient = make_patient(0, health_level=rng.uniform(0.1, 0.7))
     raw = [rng.uniform(0, 1) for _ in range(3)]
@@ -189,15 +182,15 @@ def _random_choice_instance(rng):
         patient.last_doctor_id = last
         if rng.chance(0.7):
             ledger.add_rating(last, patient.patient_id, 5)
-    return patient, doctors, ledger
+    return patient, doctors, ledger, busy
 
 
 def test_choose_matches_exhaustive_oracle():
     rng = RngStream(1234)
     for _ in range(400):
-        patient, doctors, ledger = _random_choice_instance(rng)
-        assert choose_doctor(patient, doctors, ledger) == exhaustive_choose(
-            patient, doctors, ledger, judge_doctor
+        patient, doctors, ledger, busy = _random_choice_instance(rng)
+        assert choose_doctor(patient, doctors, ledger, judge_doctor, busy) == exhaustive_choose(
+            patient, doctors, ledger, judge_doctor, busy
         )
 
 
@@ -241,20 +234,20 @@ def test_receive_treatment_full_exchange():
     patient = make_patient(1, health_level=0.4, resilience=0.2, is_infected=True)
     patient.infected_order = 0
     ledger = RatingLedger()
-    rating = receive_treatment(patient, doctor, ledger)
+    rating = receive_treatment(patient, doctor, ledger, 0.0)
     assert patient.health_level == pytest.approx(0.8, abs=1e-9)
     assert rating == 5
     assert not patient.is_infected
     assert patient.last_doctor_id == 3
     assert ledger.rating_by_patient(3, 1) == 5
-    assert doctor.is_busy and doctor.experience == 1
+    assert doctor.experience == 1
 
 
 def test_receive_treatment_health_capped_at_one():
     doctor = make_doctor(0, credential=Credential.HIGH, empathy=0.4,
                          technological_resource_constraint=0.5)
     patient = make_patient(health_level=0.95, resilience=0.0)
-    receive_treatment(patient, doctor, RatingLedger())
+    receive_treatment(patient, doctor, RatingLedger(), 0.0)
     assert patient.health_level == 1.0
 
 
@@ -262,5 +255,5 @@ def test_receive_treatment_resilience_scales_linearly():
     doctor_kwargs = dict(credential=Credential.HIGH, empathy=0.7,
                          technological_resource_constraint=0.5)
     tough = make_patient(health_level=0.3, resilience=0.4)
-    receive_treatment(tough, make_doctor(0, **doctor_kwargs), RatingLedger())
+    receive_treatment(tough, make_doctor(0, **doctor_kwargs), RatingLedger(), 0.0)
     assert tough.health_level == pytest.approx(0.3 + 0.5 * 0.6, abs=1e-9)

@@ -70,12 +70,11 @@ def test_update_confidence_combines_both_parts():
     ledger.add_rating(0, 0, 4)
     doctor = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
                          weight_wmrat=0.5, weight_mwres=0.5)
-    update_confidence(doctor, ledger, [[0.0, 0.0], [2.0, 0.0]])
-    assert doctor.confidence == pytest.approx(0.5 * 4.0 + 0.5 * 2.0, abs=1e-9)
+    confidence = update_confidence(doctor, ledger, [[0.0, 0.0], [2.0, 0.0]])
+    assert confidence == pytest.approx(0.5 * 4.0 + 0.5 * 2.0, abs=1e-9)
 
     silent = make_doctor(0, social_ties_patients=[0.0], social_ties_doctors=[0.0])
-    update_confidence(silent, RatingLedger(), [[0.0]])
-    assert silent.confidence == 0.0
+    assert update_confidence(silent, RatingLedger(), [[0.0]]) == 0.0
 
 
 def test_update_confidence_projection():
@@ -83,18 +82,18 @@ def test_update_confidence_projection():
     ledger.add_rating(0, 0, 4)
     doctor = make_doctor(0, social_ties_patients=[0.8], social_ties_doctors=[0.0, 1.0],
                          weight_wmrat=1.0, weight_mwres=0.0)
-    update_confidence(doctor, ledger, [[0.0, 0.0], [2.0, 0.0]])
-    assert doctor.confidence == pytest.approx(4.0, abs=1e-9)
+    confidence = update_confidence(doctor, ledger, [[0.0, 0.0], [2.0, 0.0]])
+    assert confidence == pytest.approx(4.0, abs=1e-9)
 
 
 def test_effectiveness_css_hand_cases():
     # Zero confidence leaves the classical value (0.2 + 0.5) x (1 - 0.3).
-    calm = make_doctor(confidence=0.0)
-    assert treatment_effectiveness(calm) == pytest.approx(0.49, abs=1e-12)
+    calm = make_doctor()
+    assert treatment_effectiveness(calm, 0.0) == pytest.approx(0.49, abs=1e-12)
 
     boosted = make_doctor(credential=Credential.MEDIUM, empathy=0.3,
-                          technological_resource_constraint=0.5, confidence=3.0)
-    assert treatment_effectiveness(boosted) == pytest.approx(0.7, abs=1e-9)
+                          technological_resource_constraint=0.5)
+    assert treatment_effectiveness(boosted, 3.0) == pytest.approx(0.7, abs=1e-9)
 
 
 @given(
@@ -105,8 +104,8 @@ def test_effectiveness_css_hand_cases():
 )
 def test_effectiveness_css_always_capped(credential, empathy, trc, confidence):
     doctor = make_doctor(credential=credential, empathy=empathy,
-                         technological_resource_constraint=trc, confidence=confidence)
-    assert 0.0 <= treatment_effectiveness(doctor) <= 0.7
+                         technological_resource_constraint=trc)
+    assert 0.0 <= treatment_effectiveness(doctor, confidence) <= 0.7
 
 
 def test_judge_css_all_ties_zero_leaves_past_term():
@@ -175,20 +174,20 @@ def test_rate_css_monotone_in_tie_and_tenth_stepped():
 
 def test_receive_treatment_css_records_and_returns_rating():
     doctor = make_doctor(3, credential=Credential.HIGH, empathy=0.7,
-                         technological_resource_constraint=0.5, confidence=0.0)
+                         technological_resource_constraint=0.5)
     patient = make_patient(
         1, health_level=0.4, resilience=0.2, is_infected=True,
         social_ties_doctors=[0.0, 0.0, 0.0, 1.0],
     )
     patient.infected_order = 0
     ledger = RatingLedger()
-    rating = receive_treatment_css(patient, doctor, ledger)
+    rating = receive_treatment_css(patient, doctor, ledger, 0.0)
     assert patient.health_level == pytest.approx(0.8, abs=1e-9)
     assert rating == 5.0
     assert ledger.rating_by_patient(3, 1) == 5.0
     assert not patient.is_infected
     assert patient.last_doctor_id == 3
-    assert doctor.is_busy and doctor.experience == 1
+    assert doctor.experience == 1
 
 
 def test_zero_ties_reduce_css_to_classical():
@@ -202,10 +201,10 @@ def test_zero_ties_reduce_css_to_classical():
     ledger.add_rating(0, 4, 3)
     respect = [update_respect_for_colleagues(d, [doctor, peer], ledger) for d in (doctor, peer)]
     assert respect == [[0.0, 0.0], [0.0, 0.0]]
-    update_confidence(doctor, ledger, respect)
-    assert doctor.confidence == 0.0
+    confidence = update_confidence(doctor, ledger, respect)
+    assert confidence == 0.0
     # (0.2 + 0.45 + 0.0) x (1 - 0.35), the classical value.
-    assert treatment_effectiveness(doctor) == pytest.approx(0.4225, abs=1e-12)
+    assert treatment_effectiveness(doctor, confidence) == pytest.approx(0.4225, abs=1e-12)
     for health in (0.15, 0.43, 0.79, 0.8, 1.0):
         css_patient = make_patient(1, health_level=health, social_ties_doctors=[0.0, 0.0])
         classical_patient = make_patient(1, health_level=health)
@@ -226,11 +225,9 @@ def test_weighted_means_invariant_under_tie_scaling(ties, scale):
         ledger.add_rating(0, pid, (pid % 6))
     doctor = make_doctor(0, social_ties_patients=list(ties), social_ties_doctors=[0.0, 0.5],
                          weight_wmrat=1.0, weight_mwres=0.0)
-    update_confidence(doctor, ledger, [[0.0, 0.0]])
-    baseline = doctor.confidence
+    baseline = update_confidence(doctor, ledger, [[0.0, 0.0]])
     doctor.social_ties_patients = [v * scale for v in ties]
-    update_confidence(doctor, ledger, [[0.0, 0.0]])
-    assert doctor.confidence == pytest.approx(baseline, abs=1e-9)
+    assert update_confidence(doctor, ledger, [[0.0, 0.0]]) == pytest.approx(baseline, abs=1e-9)
 
 
 def test_respect_nonnegative_and_zero_when_untied():
@@ -244,11 +241,11 @@ def test_respect_nonnegative_and_zero_when_untied():
 # A sweep recomputes every respect value from the current ratings, ties
 # and credentials, however those changed since the last sweep (new
 # ratings, tie edits, GA variation, an elite restore); these tests compare
-# every respect row, and the confidence the sweep committed from them,
+# every respect row, and the confidence list the sweep returned from them,
 # exactly, against a direct recomputation (the own slot's zero tie gives
 # the 0.0 it must hold).
 
-def assert_respect_fresh(doctors, ledger):
+def assert_respect_fresh(doctors, ledger, confidence):
     expected = [
         [
             doctor.social_ties_doctors[colleague.doctor_id] * (
@@ -260,6 +257,7 @@ def assert_respect_fresh(doctors, ledger):
         for doctor in doctors
     ]
     assert [update_respect_for_colleagues(d, doctors, ledger) for d in doctors] == expected
+    assert len(confidence) == len(doctors)
     for doctor in doctors:
         respects = tie_weighted_mean(
             (expected[colleague.doctor_id][doctor.doctor_id],
@@ -267,7 +265,8 @@ def assert_respect_fresh(doctors, ledger):
             for colleague in doctors
         )
         ratings = ledger.mean_weighted_ratings(doctor.doctor_id, doctor.social_ties_patients)
-        assert doctor.confidence == doctor.weight_wmrat * ratings + doctor.weight_mwres * respects
+        expected_confidence = doctor.weight_wmrat * ratings + doctor.weight_mwres * respects
+        assert confidence[doctor.doctor_id] == expected_confidence
 
 
 def rated_clinic():
@@ -285,8 +284,11 @@ def rated_clinic():
     for doctor_id, raters in ((0, (0, 1)), (1, (1, 2)), (2, (2, 3))):
         for patient_id in raters:
             ledger.add_rating(doctor_id, patient_id, 2.5 + patient_id * 0.5)
-    engine.refresh_social_perception(doctors, ledger)
     return doctors, ledger
+
+
+def assert_sweep_fresh(doctors, ledger):
+    assert_respect_fresh(doctors, ledger, engine.refresh_social_perception(doctors, ledger))
 
 
 def busy_css_state():
@@ -305,9 +307,10 @@ def test_respect_matches_direct_valuation_every_round(monkeypatch):
     refreshed = []
 
     def checked(doctors, ledger):
-        original(doctors, ledger)
-        assert_respect_fresh(doctors, ledger)
+        confidence = original(doctors, ledger)
+        assert_respect_fresh(doctors, ledger, confidence)
         refreshed.append(round_index)
+        return confidence
 
     monkeypatch.setattr(engine, "refresh_social_perception", checked)
     with_seeker = []
@@ -322,19 +325,17 @@ def test_respect_matches_direct_valuation_every_round(monkeypatch):
 def test_treating_doctor_holds_fresh_confidence(monkeypatch):
     # A doctor treats at most once per round, and another doctor's treatment
     # changes only that doctor's ratings and credential, which this doctor's
-    # confidence does not read; so a refresh at the moment of any treatment
-    # must give the confidence the round's sweep committed.
+    # confidence does not read; so a sweep at the moment of any treatment
+    # must give the confidence the round's sweep passed to it.
     state = busy_css_state()
     original = cognitive.receive_treatment_css
     treated = []
 
-    def checked(patient, doctor, ledger):
-        doctors, fresh_ledger = copy.deepcopy((state.doctors, ledger))
-        engine.refresh_social_perception(doctors, fresh_ledger)
-        fresh = next(d for d in doctors if d.doctor_id == doctor.doctor_id)
-        assert doctor.confidence == fresh.confidence
+    def checked(patient, doctor, ledger, confidence):
+        fresh = engine.refresh_social_perception(state.doctors, ledger)
+        assert confidence == fresh[doctor.doctor_id]
         treated.append(doctor.doctor_id)
-        return original(patient, doctor, ledger)
+        return original(patient, doctor, ledger, confidence)
 
     monkeypatch.setattr(cognitive, "receive_treatment_css", checked)
     for round_index in range(1, 13):
@@ -345,40 +346,33 @@ def test_treating_doctor_holds_fresh_confidence(monkeypatch):
 def test_respect_follows_new_rater_and_changed_rerating():
     doctors, ledger = rated_clinic()
     ledger.add_rating(1, 3, 0.5)
-    engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
+    assert_sweep_fresh(doctors, ledger)
     ledger.add_rating(1, 2, 4.5)
-    engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
+    assert_sweep_fresh(doctors, ledger)
 
 
 def test_respect_follows_in_place_tie_edit():
     doctors, ledger = rated_clinic()
     doctors[0].social_ties_patients[2] = 0.95
-    engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
+    assert_sweep_fresh(doctors, ledger)
 
 
 def test_respect_follows_tie_map_replacement():
     doctors, ledger = rated_clinic()
     doctors[2].social_ties_patients = [1.0 - 0.2 * p for p in range(4)]
-    engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
+    assert_sweep_fresh(doctors, ledger)
 
 
 def test_respect_follows_crossover():
     doctors, ledger = rated_clinic()
     crossover_doctor(doctors[1], doctors[2], StubRng(chance=[True]))
-    engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
+    assert_sweep_fresh(doctors, ledger)
 
 
 def test_respect_follows_elite_style_object_swap():
     doctors, ledger = rated_clinic()
     elite = copy.deepcopy(doctors[0])
     doctors[0].social_ties_patients[1] = 0.0
-    engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
+    assert_sweep_fresh(doctors, ledger)
     doctors[0] = elite
-    engine.refresh_social_perception(doctors, ledger)
-    assert_respect_fresh(doctors, ledger)
+    assert_sweep_fresh(doctors, ledger)

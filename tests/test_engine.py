@@ -12,7 +12,7 @@ from caresim import (
     run_round,
     run_simulation,
 )
-from caresim import engine
+from caresim import classical, cognitive, engine
 from caresim.cli import main as cli_main
 from caresim.config import ConfigError
 from caresim.engine import METRIC_FIELDS, aggregate_rounds
@@ -141,6 +141,40 @@ def test_saturated_round_leaves_seekers_untreated():
     assert metrics.untreated_seekers == 20 - 3
 
 
+@pytest.mark.parametrize("model", ["classical", "css"])
+def test_round_treats_each_doctor_once_with_the_sweep_confidence(monkeypatch, model):
+    # The round owns the busy set and the confidence list: each doctor
+    # treats at most once per round, with a fresh sweep's confidence for it
+    # (css) or exactly 0.0 (classical).  Early rounds have more seekers than
+    # doctors, so the busy set fills up.
+    cfg = small_config(model, num_patients=30, num_rounds=12, num_infected_per_round=12,
+                       mutation_chance=0.6, crossover_chance=0.6, tournaments_per_round=3)
+    state = init_run_state(cfg, 11)
+    owner, name = ((cognitive, "receive_treatment_css") if model == "css"
+                   else (classical, "receive_treatment"))
+    original = getattr(owner, name)
+    treated = []
+
+    def checked(patient, doctor, ledger, confidence):
+        assert doctor.doctor_id not in treated
+        if model == "css":
+            fresh = engine.refresh_social_perception(state.doctors, ledger)
+            assert confidence == fresh[doctor.doctor_id]
+        else:
+            assert confidence == 0.0
+        treated.append(doctor.doctor_id)
+        return original(patient, doctor, ledger, confidence)
+
+    monkeypatch.setattr(owner, name, checked)
+    saturated = 0
+    for round_index in range(1, cfg.num_rounds + 1):
+        treated.clear()
+        metrics = run_round(state, round_index)
+        assert len(treated) == metrics.treatments_performed
+        saturated += metrics.untreated_seekers > 0
+    assert saturated >= 3
+
+
 def test_run_simulation_zero_rounds():
     cfg = small_config(num_rounds=0)
     result = run_simulation(cfg, 9)
@@ -210,11 +244,9 @@ def test_invariants_hold_after_full_run():
         for doctor in state.doctors:
             check_doctor_invariants(doctor, *sizes)
             if model == "classical":
-                # The shared effectiveness formula adds confidence, and the
-                # shared crossover averages weights and ties, so a classical
-                # doctor must never hold confidence or ties, and its weights
+                # The shared crossover averages weights and ties, so a
+                # classical doctor must never hold ties, and its weights
                 # must stay at 0.5.
-                assert doctor.confidence == 0.0
                 assert doctor.social_ties_doctors == []
                 assert doctor.social_ties_patients == []
                 assert (doctor.weight_wmrat, doctor.weight_mwres) == (0.5, 0.5)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +75,17 @@ def test_weighted_valuation_hand_cases():
     assert ledger.weighted_valuation(1, [0.0, 0.5, 0.5]) == pytest.approx(4.0, abs=1e-9)
     assert ledger.weighted_valuation(1, [0.0, 0.0, 0.0]) == 0
     assert RatingLedger().weighted_valuation(1, []) == 0
+
+
+def test_weighted_valuation_is_a_left_fold_on_every_interpreter():
+    # sum() of floats is compensated since CPython 3.12 and reads
+    # 28.939155935105294 on these terms; adding them one by one in rating
+    # order gives the same value on every interpreter.
+    rng = random.Random(5)
+    ratings = [round(rng.uniform(0, 5), 1) for _ in range(21)]
+    ties = [rng.random() for _ in range(21)]
+    ledger = ledger_with(*((0, patient, rating) for patient, rating in enumerate(ratings)))
+    assert ledger.weighted_valuation(0, ties) == 28.93915593510529
 
 
 ratings_maps = st.dictionaries(

@@ -1,3 +1,5 @@
+import platform
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,15 @@ def test_script_reports_bad_config_as_usage_error(tmp_path, name, args, reason):
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
     assert not out.exists()
+
+
+def test_golden_holds_on_every_other_local_interpreter():
+    # Float sums can round differently between CPython versions, and this
+    # suite runs on one of them; the golden check must hold on the others.
+    found = runpy.run_path(str(SCRIPTS / "check_golden.py"))["pyenv_interpreters"]()
+    others = [python for python in found if python.parent.parent.name != platform.python_version()]
+    if not others:
+        pytest.skip("no other pyenv CPython 3.10-3.13 is installed")
+    done = run_script("check_golden.py", *map(str, others))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert [line[:5] for line in done.stdout.splitlines()] == ["ok   "] * len(others)
