@@ -87,13 +87,14 @@ def choose_doctor(
 ) -> int | None:
     """Pick a doctor id for a patient who needs care, or None.
 
-    A doctor whose id is in ``busy`` has treated this round and is not
-    free.  Loyalty first: when the patient's last doctor carries their
-    stored perfect rating of 5 and is free, that doctor is kept regardless
-    of judgment scores.  Otherwise the free doctor with the highest
-    judgment wins.  Score ties break toward the lowest doctor id.
+    A doctor whose id is in ``busy`` (ids of ``doctors`` only) has treated
+    this round and is not free.  Loyalty first: when the patient's last
+    doctor carries their stored perfect rating of 5 and is free, that
+    doctor is kept regardless of judgment scores.  Otherwise the free
+    doctor with the highest judgment wins.  Score ties break toward the
+    lowest doctor id.
     """
-    if not needs_doctor(patient):
+    if not needs_doctor(patient) or len(busy) == len(doctors):
         return None
     last = patient.last_doctor_id
     if (last is not None and last not in busy

@@ -182,8 +182,7 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
             untreated += 1
             continue
         busy.add(chosen)
-        # doctors[i] has id i
-        treat(patient, state.doctors[chosen], state.ledger, confidence[chosen])
+        treat(patient, state.doctors[chosen], state.ledger, confidence[chosen])  # doctors[i] has id i
         treatments += 1
 
     rng, ledger = state.rng, state.ledger
