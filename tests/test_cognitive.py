@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caresim import (
-    Credential, ModelKind, RatingLedger, SimulationConfig, cognitive, engine, init_run_state,
+    Credential, ModelKind, RatingLedger, SimulationConfig, engine, init_run_state,
     run_round,
 )
 from caresim.classical import TREATMENT_FACTOR, judge_doctor, rate_doctor, treatment_effectiveness
@@ -320,27 +320,6 @@ def test_respect_matches_direct_valuation_every_round(monkeypatch):
             with_seeker.append(round_index)
     assert refreshed == with_seeker
     assert len(with_seeker) == 4
-
-
-def test_treating_doctor_holds_fresh_confidence(monkeypatch):
-    # A doctor treats at most once per round, and another doctor's treatment
-    # changes only that doctor's ratings and credential, which this doctor's
-    # confidence does not read; so a sweep at the moment of any treatment
-    # must give the confidence the round's sweep passed to it.
-    state = busy_css_state()
-    original = cognitive.receive_treatment_css
-    treated = []
-
-    def checked(patient, doctor, ledger, confidence):
-        fresh = engine.refresh_social_perception(state.doctors, ledger)
-        assert confidence == fresh[doctor.doctor_id]
-        treated.append(doctor.doctor_id)
-        return original(patient, doctor, ledger, confidence)
-
-    monkeypatch.setattr(cognitive, "receive_treatment_css", checked)
-    for round_index in range(1, 13):
-        run_round(state, round_index)
-    assert len(treated) > 6
 
 
 def test_respect_follows_new_rater_and_changed_rerating():

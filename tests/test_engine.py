@@ -144,9 +144,12 @@ def test_saturated_round_leaves_seekers_untreated():
 @pytest.mark.parametrize("model", ["classical", "css"])
 def test_round_treats_each_doctor_once_with_the_sweep_confidence(monkeypatch, model):
     # The round owns the busy set and the confidence list: each doctor
-    # treats at most once per round, with a fresh sweep's confidence for it
-    # (css) or exactly 0.0 (classical).  Early rounds have more seekers than
-    # doctors, so the busy set fills up.
+    # treats at most once per round, with the round sweep's confidence for
+    # it (css) or exactly 0.0 (classical).  Another doctor's treatment
+    # changes only that doctor's ratings and credential, which this
+    # doctor's confidence does not read, so a sweep at the moment of the
+    # treatment must give the value the round's sweep passed.  Early rounds
+    # have more seekers than doctors, so the busy set fills up.
     cfg = small_config(model, num_patients=30, num_rounds=12, num_infected_per_round=12,
                        mutation_chance=0.6, crossover_chance=0.6, tournaments_per_round=3)
     state = init_run_state(cfg, 11)
