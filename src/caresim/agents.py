@@ -12,7 +12,7 @@ Their doctors also keep both confidence weights at 0.5 for the whole
 run (only css mutation moves them), so averaging two of them in
 crossover changes nothing.  A doctor stores no round-local state: each
 css perception sweep builds the respect matrix and returns confidence,
-and the round keeps the set of doctors who have treated.
+and the round keeps a map of the doctors still free to treat.
 
 Initialization draw order (one :class:`~caresim.rng.RngStream` per run):
 

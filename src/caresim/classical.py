@@ -1,9 +1,9 @@
 """Classical-model care loop: treatment, credential progression, judgment,
 doctor choice, health update, and integer rating.
 
-Busy semantics: a doctor serves exactly one patient per round.  The
-engine's round keeps the set of ids that have treated, and
-:func:`choose_doctor` skips every id in it.
+Free doctors: a doctor serves exactly one patient per round.  The round
+keeps a map of its free doctors by id, drops each one that treats, and
+:func:`choose_doctor` looks only at that map.
 """
 
 from __future__ import annotations
@@ -80,34 +80,30 @@ def judge_doctor(patient: PatientState, doctor: DoctorState, ledger: RatingLedge
 
 def choose_doctor(
     patient: PatientState,
-    doctors: list[DoctorState],
+    free: dict[int, DoctorState],
     ledger: RatingLedger,
     judge: JudgeFn,
-    busy: set[int],
 ) -> int | None:
-    """Pick a doctor id for a patient who needs care, or None.
+    """Pick a free doctor's id for a patient who needs care, or None.
 
-    A doctor whose id is in ``busy`` (ids of ``doctors`` only) has treated
-    this round and is not free.  Loyalty first: when the patient's last
-    doctor carries their stored perfect rating of 5 and is free, that
-    doctor is kept regardless of judgment scores.  Otherwise the free
-    doctor with the highest judgment wins.  Score ties break toward the
-    lowest doctor id.
+    ``free`` maps each doctor id not yet treating this round to its
+    doctor.  Loyalty first: when the patient's last doctor carries their
+    stored perfect rating of 5 and is free, that doctor is kept
+    regardless of judgment scores.  Otherwise the free doctor with the
+    highest judgment wins.  Score ties break toward the lowest doctor
+    id, in whatever order the map holds its doctors.
     """
-    if not needs_doctor(patient) or len(busy) == len(doctors):
+    if not needs_doctor(patient) or not free:
         return None
     last = patient.last_doctor_id
-    if (last is not None and last not in busy
-            and ledger.rating_by_patient(last, patient.patient_id) == PERFECT_RATING):
+    if last in free and ledger.rating_by_patient(last, patient.patient_id) == PERFECT_RATING:
         return last
     best_id = None
     best_score = float("-inf")
-    for doctor in doctors:
-        if doctor.doctor_id in busy:
-            continue
+    for doctor_id, doctor in free.items():
         score = judge(patient, doctor, ledger)
-        if score > best_score or (score == best_score and doctor.doctor_id < best_id):
-            best_id = doctor.doctor_id
+        if score > best_score or (score == best_score and doctor_id < best_id):
+            best_id = doctor_id
             best_score = score
     return best_id
 

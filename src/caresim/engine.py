@@ -2,7 +2,8 @@
 
 One round (mini-generation) executes, in order:
 
-1. Spread the configured number of infections among eligible patients.
+1. Spread the configured number of infections among eligible patients;
+   their infection orders continue the run's count of infections.
 2. Sort the patients below the care threshold (the seekers) by triage
    priority, ties by ascending patient id.
 3. css only, and only when there is a seeker: build the respect matrix,
@@ -10,8 +11,8 @@ One round (mini-generation) executes, in order:
    is read only by a treatment, and infection changes none of the
    sweep's inputs, so skipping the sweep in rounds without a seeker
    changes no output.  Classical doctors treat with confidence 0.0.
-4. Let each seeker in triage order pick a doctor not yet busy this round
-   and be treated; seekers who find nobody free are counted as untreated.
+4. Let each seeker in triage order pick a doctor from the round's map of
+   free doctors and be treated; a doctor who treats leaves the map.
 5. Score every agent once, then evolve the patient population, then the
    doctor population, from those scores.
 6. Compute the round's population metrics; the fitness means reuse the
@@ -50,7 +51,7 @@ from .evolution import (
     mutate_doctor_css,
     mutate_patient,
 )
-from .infection import InfectionCounter, needs_doctor, priority, spread_infection
+from .infection import needs_doctor, priority, spread_infection
 from .ratings import RatingLedger
 from .rng import RngStream, derive_run_seed
 
@@ -99,7 +100,7 @@ class RunState:
     doctors: list[DoctorState]
     patients: list[PatientState]
     ledger: RatingLedger
-    counter: InfectionCounter
+    infections: int = 0
 
 
 @dataclass
@@ -142,7 +143,6 @@ def init_run_state(config: SimulationConfig, run_seed: int) -> RunState:
         doctors=doctors,
         patients=patients,
         ledger=RatingLedger(),
-        counter=InfectionCounter(),
     )
 
 
@@ -157,8 +157,9 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     cfg = state.config
     css = cfg.model is ModelKind.CSS
     infections = spread_infection(
-        state.patients, cfg.num_infected_per_round, state.counter, state.rng
+        state.patients, cfg.num_infected_per_round, state.infections, state.rng
     )
+    state.infections += infections
 
     # A treatment changes only its own patient, so who seeks care this
     # round is settled before the first treatment.
@@ -171,19 +172,14 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     else:
         confidence = [0.0] * len(state.doctors)
 
-    treatments = 0
-    untreated = 0
-    busy: set[int] = set()
+    free = dict(enumerate(state.doctors))  # doctors[i] has id i
     judge = cognitive.judge_doctor_css if css else classical.judge_doctor
     treat = cognitive.receive_treatment_css if css else classical.receive_treatment
     for patient in seekers:
-        chosen = classical.choose_doctor(patient, state.doctors, state.ledger, judge, busy)
-        if chosen is None:
-            untreated += 1
-            continue
-        busy.add(chosen)
-        treat(patient, state.doctors[chosen], state.ledger, confidence[chosen])  # doctors[i] has id i
-        treatments += 1
+        chosen = classical.choose_doctor(patient, free, state.ledger, judge)
+        if chosen is not None:
+            treat(patient, free.pop(chosen), state.ledger, confidence[chosen])
+    treatments = len(state.doctors) - len(free)
 
     rng, ledger = state.rng, state.ledger
     patient_scores = [fitness_patient(p) for p in state.patients]
@@ -208,7 +204,7 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
         resilience=_mean(p.resilience for p in state.patients),
         infections_applied=infections,
         treatments_performed=treatments,
-        untreated_seekers=untreated,
+        untreated_seekers=len(seekers) - treatments,
     )
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .agents import PatientState
 from .rng import RngStream
 
@@ -13,18 +11,6 @@ NEEDS_DOCTOR_THRESHOLD = 0.6
 # A patient is only eligible for a new infection above this health level,
 # which keeps everyone alive; the hit itself is still floored at zero.
 INFECTION_ELIGIBLE_ABOVE = 0.1
-
-
-@dataclass
-class InfectionCounter:
-    """Run-global infection sequence; orders are never reused."""
-
-    next_order: int = 0
-
-    def take(self) -> int:
-        order = self.next_order
-        self.next_order += 1
-        return order
 
 
 def infect(patient: PatientState, order: int) -> bool:
@@ -40,13 +26,13 @@ def infect(patient: PatientState, order: int) -> bool:
 def spread_infection(
     patients: list[PatientState],
     n: int,
-    counter: InfectionCounter,
+    first_order: int,
     rng: RngStream,
 ) -> int:
     """Infect up to ``n`` distinct eligible patients, sampled uniformly.
 
-    Orders are assigned consecutively in pick order.  Returns the number
-    of infections applied.
+    Orders run consecutively from ``first_order`` in pick order.  Returns
+    the number of infections applied.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -55,8 +41,8 @@ def spread_infection(
         if not p.is_infected and p.health_level > INFECTION_ELIGIBLE_ABOVE
     ]
     chosen = rng.sample(eligible, min(n, len(eligible)))
-    for patient in chosen:
-        infect(patient, counter.take())
+    for order, patient in enumerate(chosen, first_order):
+        infect(patient, order)
     return len(chosen)
 
 

@@ -31,7 +31,7 @@ from caresim import cognitive as cog
 from caresim import engine
 from caresim import evolution as evo
 from caresim.cli import main as cli_main
-from caresim.infection import InfectionCounter, infect, needs_doctor, priority, spread_infection
+from caresim.infection import infect, needs_doctor, priority, spread_infection
 from support import (
     StubRng,
     check_doctor_invariants,
@@ -127,7 +127,7 @@ def _example_infection():
     assert needs_doctor(make_patient(health_level=0.59))
     assert not needs_doctor(make_patient(health_level=0.6))
     crowd = [make_patient(i, health_level=0.9) for i in range(1000)]
-    assert spread_infection(crowd, 200, InfectionCounter(), RngStream(1)) == 200
+    assert spread_infection(crowd, 200, 0, RngStream(1)) == 200
 
 
 def _example_classical_care():
@@ -160,12 +160,12 @@ def _example_classical_care():
     assert cl.judge_doctor(past_only, make_doctor(9), RatingLedger()) == 0.0
 
     sick = make_patient(1, health_level=0.4)
-    assert cl.choose_doctor(sick, [make_doctor(0)], RatingLedger(), cl.judge_doctor, {0}) is None
+    assert cl.choose_doctor(sick, {}, RatingLedger(), cl.judge_doctor) is None
     loyal = make_patient(1, health_level=0.4, last_doctor_id=2,
                          cred_weight=1.0, mean_rating_weight=0.0, past_rating_weight=0.0)
     loyal_ledger = _ledger((2, 1, 5))
     star, old = make_doctor(0, credential=Credential.HIGH), make_doctor(2, credential=Credential.LOW)
-    assert cl.choose_doctor(loyal, [star, old], loyal_ledger, cl.judge_doctor, set()) == 2
+    assert cl.choose_doctor(loyal, {0: star, 2: old}, loyal_ledger, cl.judge_doctor) == 2
 
     healed = make_patient(health_level=0.05)
     cl.update_health_level(healed, 0.0)
@@ -424,8 +424,9 @@ def _random_instance(rng, css):
     patient.cred_weight, patient.mean_rating_weight, patient.past_rating_weight = (
         raw[0] / total, raw[1] / total, raw[2] / total)
     if css:
-        patient.social_ties_doctors = {d.doctor_id: rng.uniform(0, 1) for d in doctors}
-        patient.social_ties_patients = {pid: rng.uniform(0, 1) for pid in range(1, 5)}
+        # A run's layout: lists indexed by id, the patient's own slot 0.0 and undrawn.
+        patient.social_ties_doctors = [rng.uniform(0, 1) for _ in doctors]
+        patient.social_ties_patients = [0.0] + [rng.uniform(0, 1) for _ in range(1, 5)]
     ledger = RatingLedger()
     for doctor in doctors:
         for rater in range(1, 5):
@@ -450,7 +451,11 @@ def test_criterion_3_choice_oracle():
         if patient.last_doctor_id is not None and \
                 ledger.rating_by_patient(patient.last_doctor_id, 0) == 5:
             loyalty_cases += 1
-        assert cl.choose_doctor(patient, doctors, ledger, judge, busy) == exhaustive_choose(
+        # Every other case of each model lists the free doctors in descending
+        # id order, so the lowest-id tie rule cannot lean on the map's order.
+        order = reversed(doctors) if case // 2 % 2 else doctors
+        free = {d.doctor_id: d for d in order if d.doctor_id not in busy}
+        assert cl.choose_doctor(patient, free, ledger, judge) == exhaustive_choose(
             patient, doctors, ledger, judge, busy)
     elapsed = time.perf_counter() - started
     report(3, "choice oracle", elapsed < 5.0 and loyalty_cases > 100,

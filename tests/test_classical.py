@@ -109,16 +109,20 @@ def test_judge_hand_cases():
     assert judge_doctor(past_only, low, rated) == 0.0
 
 
+def free_map(doctors, busy=()):
+    """The round's map of free doctors: every doctor not in ``busy``, by id."""
+    return {d.doctor_id: d for d in doctors if d.doctor_id not in busy}
+
+
 def test_choose_none_when_all_busy():
     patient = make_patient(health_level=0.4)
-    doctors = [make_doctor(i) for i in range(3)]
-    assert choose_doctor(patient, doctors, RatingLedger(), judge_doctor, {0, 1, 2}) is None
+    assert choose_doctor(patient, {}, RatingLedger(), judge_doctor) is None
 
 
 def test_choose_none_when_healthy():
     patient = make_patient(health_level=0.9)
     doctors = [make_doctor(0)]
-    assert choose_doctor(patient, doctors, RatingLedger(), judge_doctor, set()) is None
+    assert choose_doctor(patient, free_map(doctors), RatingLedger(), judge_doctor) is None
 
 
 def test_loyalty_overrides_judgment():
@@ -128,7 +132,7 @@ def test_loyalty_overrides_judgment():
     mediocre = make_doctor(2, credential=Credential.LOW, empathy=0.2)
     star = make_doctor(0, credential=Credential.HIGH, empathy=0.7)
     ledger.add_rating(0, 9, 5)
-    assert choose_doctor(patient, [star, mediocre], ledger, judge_doctor, set()) == 2
+    assert choose_doctor(patient, free_map([star, mediocre]), ledger, judge_doctor) == 2
 
 
 def test_loyalty_requires_exact_five_and_free_doctor():
@@ -139,17 +143,18 @@ def test_loyalty_requires_exact_five_and_free_doctor():
     ledger.add_rating(2, 1, 4)
     star = make_doctor(0, credential=Credential.HIGH)
     old = make_doctor(2, credential=Credential.LOW)
-    assert choose_doctor(patient, [star, old], ledger, judge_doctor, set()) == 0
+    assert choose_doctor(patient, free_map([star, old]), ledger, judge_doctor) == 0
 
     ledger.add_rating(2, 1, 5)
-    assert choose_doctor(patient, [star, old], ledger, judge_doctor, set()) == 2
-    assert choose_doctor(patient, [star, old], ledger, judge_doctor, {2}) == 0
+    assert choose_doctor(patient, free_map([star, old]), ledger, judge_doctor) == 2
+    assert choose_doctor(patient, free_map([star, old], {2}), ledger, judge_doctor) == 0
 
 
 def test_choose_breaks_ties_by_lowest_id():
     patient = make_patient(1, health_level=0.4)
+    # The map need not be in id order: the lowest id wins wherever it sits.
     doctors = [make_doctor(i, credential=Credential.MEDIUM) for i in (3, 1, 2)]
-    assert choose_doctor(patient, doctors, RatingLedger(), judge_doctor, set()) == 1
+    assert choose_doctor(patient, free_map(doctors), RatingLedger(), judge_doctor) == 1
 
 
 def _random_choice_instance(rng):
@@ -189,8 +194,8 @@ def test_choose_matches_exhaustive_oracle():
     rng = RngStream(1234)
     for _ in range(400):
         patient, doctors, ledger, busy = _random_choice_instance(rng)
-        assert choose_doctor(patient, doctors, ledger, judge_doctor, busy) == exhaustive_choose(
-            patient, doctors, ledger, judge_doctor, busy
+        assert choose_doctor(patient, free_map(doctors, busy), ledger, judge_doctor) == (
+            exhaustive_choose(patient, doctors, ledger, judge_doctor, busy)
         )
 
 

@@ -143,13 +143,13 @@ def test_saturated_round_leaves_seekers_untreated():
 
 @pytest.mark.parametrize("model", ["classical", "css"])
 def test_round_treats_each_doctor_once_with_the_sweep_confidence(monkeypatch, model):
-    # The round owns the busy set and the confidence list: each doctor
-    # treats at most once per round, with the round sweep's confidence for
-    # it (css) or exactly 0.0 (classical).  Another doctor's treatment
-    # changes only that doctor's ratings and credential, which this
-    # doctor's confidence does not read, so a sweep at the moment of the
-    # treatment must give the value the round's sweep passed.  Early rounds
-    # have more seekers than doctors, so the busy set fills up.
+    # The round owns the map of free doctors and the confidence list: each
+    # doctor treats at most once per round, with the round sweep's
+    # confidence for it (css) or exactly 0.0 (classical).  Another doctor's
+    # treatment changes only that doctor's ratings and credential, which
+    # this doctor's confidence does not read, so a sweep at the moment of
+    # the treatment must give the value the round's sweep passed.  Early
+    # rounds have more seekers than doctors, so the free map empties.
     cfg = small_config(model, num_patients=30, num_rounds=12, num_infected_per_round=12,
                        mutation_chance=0.6, crossover_chance=0.6, tournaments_per_round=3)
     state = init_run_state(cfg, 11)
@@ -176,6 +176,27 @@ def test_round_treats_each_doctor_once_with_the_sweep_confidence(monkeypatch, mo
         assert len(treated) == metrics.treatments_performed
         saturated += metrics.untreated_seekers > 0
     assert saturated >= 3
+
+
+@pytest.mark.parametrize("model", ["classical", "css"])
+def test_infection_orders_continue_the_run_count(model):
+    # Triage ranks infected patients by infection order, so the orders of a
+    # run's infected patients must stay distinct across rounds: each round
+    # continues from the run's count.  Seekers go untreated only once every
+    # doctor has treated.
+    cfg = small_config(model, num_patients=30, num_rounds=12, num_infected_per_round=12)
+    state = init_run_state(cfg, 11)
+    metrics = []
+    for round_index in range(1, cfg.num_rounds + 1):
+        metrics.append(run_round(state, round_index))
+        orders = [p.infected_order for p in state.patients if p.is_infected]
+        assert len(set(orders)) == len(orders)
+        assert all(order < state.infections for order in orders)
+        assert state.infections == sum(m.infections_applied for m in metrics)
+        if metrics[-1].untreated_seekers > 0:
+            assert metrics[-1].treatments_performed == cfg.num_doctors
+    assert sum(m.untreated_seekers > 0 for m in metrics) >= 3
+    assert state.infections > cfg.num_patients
 
 
 def test_run_simulation_zero_rounds():

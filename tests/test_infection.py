@@ -2,7 +2,6 @@ import pytest
 
 from caresim import RngStream
 from caresim.infection import (
-    InfectionCounter,
     infect,
     needs_doctor,
     priority,
@@ -43,16 +42,14 @@ def test_infect_never_drives_health_below_zero():
 
 def test_spread_zero_changes_nothing():
     patients = [make_patient(i, health_level=0.9) for i in range(5)]
-    counter = InfectionCounter()
-    assert spread_infection(patients, 0, counter, RngStream(1)) == 0
-    assert all(not p.is_infected for p in patients)
-    assert counter.next_order == 0
+    assert spread_infection(patients, 0, 7, RngStream(1)) == 0
+    assert all(not p.is_infected and p.infected_order is None for p in patients)
 
 
 def test_spread_exhausts_eligible_pool():
     patients = [make_patient(i, health_level=0.9) for i in range(5)]
     patients[2].health_level = 0.05
-    applied = spread_infection(patients, 50, InfectionCounter(), RngStream(1))
+    applied = spread_infection(patients, 50, 0, RngStream(1))
     assert applied == 4
     assert not patients[2].is_infected
     assert all(p.is_infected for p in patients if p.patient_id != 2)
@@ -60,18 +57,17 @@ def test_spread_exhausts_eligible_pool():
 
 def test_spread_exact_count_on_fresh_population():
     patients = [make_patient(i, health_level=0.9) for i in range(1000)]
-    applied = spread_infection(patients, 200, InfectionCounter(), RngStream(3))
+    applied = spread_infection(patients, 200, 0, RngStream(3))
     assert applied == 200
     assert sum(p.is_infected for p in patients) == 200
 
 
 def test_spread_orders_are_gap_free_prefix():
     patients = [make_patient(i, health_level=0.9) for i in range(30)]
-    counter = InfectionCounter()
-    spread_infection(patients, 10, counter, RngStream(9))
-    spread_infection(patients, 10, counter, RngStream(10))
+    assert spread_infection(patients, 10, 0, RngStream(9)) == 10
+    assert spread_infection(patients, 10, 10, RngStream(10)) == 10
     orders = sorted(p.infected_order for p in patients if p.is_infected)
-    assert orders == list(range(counter.next_order))
+    assert orders == list(range(20))
 
 
 def test_priority_triples():

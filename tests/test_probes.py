@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from caresim import engine, evolution
+from caresim import engine, evolution, preset_single_run
 from caresim.ratings import RatingLedger
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -30,3 +30,33 @@ def test_probes_wrap_and_restore_every_patched_name(probes):
                 assert getattr(owner, attr) is not original, (owner.__name__, attr)
         for (owner, attr), original in zip(names, originals):
             assert getattr(owner, attr) is original, (owner.__name__, attr)
+
+
+@pytest.mark.parametrize("model, applied, seekers, untreated, treatments", [
+    ("classical", 206, 221, 115, 106),
+    ("css", 167, 170, 103, 67),
+])
+def test_traced_counts_match_the_run_metrics(probes, model, applied, seekers, untreated,
+                                             treatments):
+    # The hooks read the wrapped calls' arguments and results by position
+    # (``spread_infection``'s second argument is the requested count), so a
+    # reordered signature must show here as counts that disagree with the
+    # metrics the run itself reports.
+    config = preset_single_run(model, base_seed=123)
+    tracer = probes.Tracer()
+    with tracer.installed():
+        metrics = engine.run_batch(config).runs[0].metrics
+    sums = {
+        "infection.requested": config.num_infected_per_round * len(metrics),
+        "infection.applied": sum(m.infections_applied for m in metrics),
+        "classical.seekers": sum(m.treatments_performed + m.untreated_seekers for m in metrics),
+        "classical.untreated": sum(m.untreated_seekers for m in metrics),
+        "classical.treatments": sum(m.treatments_performed for m in metrics),
+    }
+    assert {name: tracer.count(name) for name in sums} == sums == {
+        "infection.requested": 2000,
+        "infection.applied": applied,
+        "classical.seekers": seekers,
+        "classical.untreated": untreated,
+        "classical.treatments": treatments,
+    }
