@@ -12,7 +12,9 @@ Their doctors also keep both confidence weights at 0.5 for the whole
 run (only css mutation moves them), so averaging two of them in
 crossover changes nothing.  A doctor stores no round-local state: each
 css perception sweep builds the respect matrix and returns confidence,
-and the round keeps a map of the doctors still free to treat.
+and the round keeps a map of the doctors still free to treat.  A patient
+keeps its last doctor and the running total and count of its
+post-treatment health levels, the only inputs of its fitness.
 
 Initialization draw order (one :class:`~caresim.rng.RngStream` per run):
 
@@ -77,10 +79,6 @@ class DoctorState(_Agent):
     weight_wmrat: float = 0.5
     weight_mwres: float = 0.5
 
-    @property
-    def agent_id(self) -> int:
-        return self.doctor_id
-
 
 @dataclass
 class PatientState(_Agent):
@@ -93,13 +91,10 @@ class PatientState(_Agent):
     is_infected: bool = False
     infected_order: int | None = None
     last_doctor_id: int | None = None
-    health_history: list[float] = field(default_factory=list)
+    treated_health_total: float = 0.0
+    times_treated: int = 0
     social_ties_doctors: list[float] = field(default_factory=list)
     social_ties_patients: list[float] = field(default_factory=list)
-
-    @property
-    def agent_id(self) -> int:
-        return self.patient_id
 
 
 def _peer_ties(self_id: int, size: int, rng: RngStream) -> list[float]:

@@ -4,6 +4,10 @@ doctor choice, health update, and integer rating.
 Free doctors: a doctor serves exactly one patient per round.  The round
 keeps a map of its free doctors by id, drops each one that treats, and
 :func:`choose_doctor` looks only at that map.
+
+Both models rate from one scale, :func:`health_score`; the classical
+rating truncates it to an integer.  :func:`exchange_treatment` is the one
+place a patient remembers the doctor who treated it.
 """
 
 from __future__ import annotations
@@ -109,27 +113,33 @@ def choose_doctor(
 
 
 def update_health_level(patient: PatientState, effectiveness: float) -> None:
+    """Heal within [0.1, 1.0] and add the new level to the treated-health total."""
     patient.health_level = max(0.1, min(1.0, patient.health_level + effectiveness))
-    patient.health_history.append(patient.health_level)
+    patient.treated_health_total += patient.health_level
+    patient.times_treated += 1
+
+
+def health_score(patient: PatientState) -> float:
+    """Health on the 0..5 rating scale: 5 from the perfect-rating threshold up."""
+    if patient.health_level >= PERFECT_RATING_THRESHOLD:
+        return float(PERFECT_RATING)
+    return max(0.0, PERFECT_RATING * patient.health_level / PERFECT_RATING_THRESHOLD)
 
 
 def rate_doctor(patient: PatientState, doctor: DoctorState) -> int:
-    """Integer rating 0..5 from post-treatment health; remembers the doctor."""
-    if patient.health_level >= PERFECT_RATING_THRESHOLD:
-        rating = PERFECT_RATING
-    else:
-        rating = max(0, int(PERFECT_RATING * patient.health_level / PERFECT_RATING_THRESHOLD))
-    patient.last_doctor_id = doctor.doctor_id
-    return rating
+    """Integer rating 0..5 from post-treatment health."""
+    return int(health_score(patient))
 
 
 def exchange_treatment(
     patient: PatientState, doctor: DoctorState, ledger: RatingLedger, confidence: float, rate: RateFn
 ) -> float:
-    """Treat, heal, clear the infection, and record and return ``rate``'s rating."""
+    """Treat, heal, clear the infection, remember the doctor, and record and
+    return ``rate``'s rating."""
     effectiveness = treat_patient(doctor, confidence) * (1.0 - patient.resilience)
     update_health_level(patient, effectiveness)
     patient.is_infected = False
+    patient.last_doctor_id = doctor.doctor_id
     rating = rate(patient, doctor)
     ledger.add_rating(doctor.doctor_id, patient.patient_id, rating)
     return float(rating)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import PRESETS, ConfigError, ModelKind, SimulationConfig
@@ -28,52 +29,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--model", choices=[m.value for m in ModelKind], default="classical")
     parser.add_argument("--preset", choices=sorted(PRESETS))
-    parser.add_argument("--doctors", type=int)
-    parser.add_argument("--patients", type=int)
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--repeats", type=int)
-    parser.add_argument("--infected", type=int)
-    parser.add_argument("--seed", type=int, default=0)
+    # Each config flag's dest is the SimulationConfig field it overrides.
+    parser.add_argument("--doctors", dest="num_doctors", type=int)
+    parser.add_argument("--patients", dest="num_patients", type=int)
+    parser.add_argument("--rounds", dest="num_rounds", type=int)
+    parser.add_argument("--repeats", dest="num_repeats", type=int)
+    parser.add_argument("--infected", dest="num_infected_per_round", type=int)
+    parser.add_argument("--seed", dest="base_seed", type=int, default=0)
     parser.add_argument("--out", default="out")
     parser.add_argument("--snapshot-every", type=int, default=0)
     parser.add_argument("--tournaments-per-round", type=int)
-    parser.add_argument("--elites", type=int)
+    parser.add_argument("--elites", dest="num_elites", type=int)
     parser.add_argument("--mutation-chance", type=float)
     parser.add_argument("--crossover-chance", type=float)
     return parser
 
 
-# CLI argument -> SimulationConfig field; each argument given overrides it.
-CONFIG_FIELDS = {
-    "doctors": "num_doctors",
-    "patients": "num_patients",
-    "rounds": "num_rounds",
-    "infected": "num_infected_per_round",
-    "repeats": "num_repeats",
-    "seed": "base_seed",
-    "snapshot_every": "snapshot_every",
-    "tournaments_per_round": "tournaments_per_round",
-    "elites": "num_elites",
-    "mutation_chance": "mutation_chance",
-    "crossover_chance": "crossover_chance",
-}
-REQUIRED_WITHOUT_PRESET = ("doctors", "patients", "rounds", "infected")
+REQUIRED_WITHOUT_PRESET = {"--doctors": "num_doctors", "--patients": "num_patients",
+                           "--rounds": "num_rounds", "--infected": "num_infected_per_round"}
 
 
 def config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    model = ModelKind(args.model)
-    overrides = {
-        name: getattr(args, arg)
-        for arg, name in CONFIG_FIELDS.items()
-        if getattr(args, arg) is not None
-    }
+    given = {f.name: getattr(args, f.name) for f in fields(SimulationConfig)
+             if getattr(args, f.name, None) is not None}
     if args.preset:
-        config = PRESETS[args.preset](model, **overrides)
+        config = PRESETS[args.preset](**given)
     else:
-        missing = [f"--{arg}" for arg in REQUIRED_WITHOUT_PRESET if getattr(args, arg) is None]
+        missing = [flag for flag, name in REQUIRED_WITHOUT_PRESET.items() if name not in given]
         if missing:
             raise ConfigError("without --preset you must pass " + ", ".join(missing))
-        config = SimulationConfig(model=model, **overrides)
+        config = SimulationConfig(**given)
     config.validate()
     return config
 

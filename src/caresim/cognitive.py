@@ -18,13 +18,7 @@ from __future__ import annotations
 import math
 
 from .agents import DoctorState, PatientState
-from .classical import (
-    JUDGMENT_SCORE,
-    PERFECT_RATING,
-    PERFECT_RATING_THRESHOLD,
-    TREATMENT_FACTOR,
-    exchange_treatment,
-)
+from .classical import JUDGMENT_SCORE, PERFECT_RATING, TREATMENT_FACTOR, exchange_treatment, health_score
 from .ratings import RatingLedger, tie_weighted_mean
 
 RATING_TIE_BONUS = 0.1
@@ -97,16 +91,11 @@ def judge_doctor_css(patient: PatientState, doctor: DoctorState, ledger: RatingL
 
 
 def rate_doctor_css(patient: PatientState, doctor: DoctorState) -> float:
-    """One-decimal rating boosted by the patient's tie to the doctor, capped at 5."""
-    if patient.health_level >= PERFECT_RATING_THRESHOLD:
-        base = float(PERFECT_RATING)
-    else:
-        base = max(0.0, PERFECT_RATING * patient.health_level / PERFECT_RATING_THRESHOLD)
+    """One-decimal rating: the health score boosted by the patient's tie to
+    the doctor, capped at 5."""
     strength = patient.social_ties_doctors[doctor.doctor_id]
-    adjusted = base * (1.0 + RATING_TIE_BONUS * strength)
-    rating = min(float(PERFECT_RATING), round_to_tenth(adjusted))
-    patient.last_doctor_id = doctor.doctor_id
-    return rating
+    adjusted = health_score(patient) * (1.0 + RATING_TIE_BONUS * strength)
+    return min(float(PERFECT_RATING), round_to_tenth(adjusted))
 
 
 def receive_treatment_css(

@@ -18,8 +18,8 @@ One round (mini-generation) executes, in order:
 6. Compute the round's population metrics; the fitness means reuse the
    scores, since a generation step changes no fitness input.
 
-Health history records post-treatment levels only (the treatment step
-appends them), so patient fitness reads as the mean quality of received
+Each treatment adds the patient's new health level to a running total
+and count, so patient fitness reads as the mean quality of received
 care, with the patient's current health standing in until first treated.
 
 A run is strictly sequential and owns a single RNG stream seeded from
@@ -214,12 +214,12 @@ def capture_snapshot(state: RunState, round_index: int) -> NetworkSnapshot:
     nodes = [(name, "doctor") for name in names["d"]] + [(name, "patient") for name in names["p"]]
     edges: list[tuple[str, str, float]] = []
     for kind, agents in (("d", state.doctors), ("p", state.patients)):
-        for agent in agents:
-            src = names[kind][agent.agent_id]
+        for own, agent in enumerate(agents):  # agents[i] has id i
+            src = names[kind][own]
             for peer_kind, ties in (("d", agent.social_ties_doctors), ("p", agent.social_ties_patients)):
                 part = [(src, dst, round(strength, 6)) for dst, strength in zip(names[peer_kind], ties)]
                 if peer_kind == kind and part:
-                    del part[agent.agent_id]  # the agent's own slot is no edge
+                    del part[own]  # the agent's own slot is no edge
                 edges += part
     return NetworkSnapshot(round_index=round_index, nodes=nodes, edges=edges)
 

@@ -49,10 +49,10 @@ def fitness_doctor(doctor: DoctorState, ledger: RatingLedger) -> float:
 
 
 def fitness_patient(patient: PatientState) -> float:
-    """Mean of the recorded health history; current health while empty."""
-    if not patient.health_history:
+    """Mean post-treatment health; current health until first treated."""
+    if not patient.times_treated:
         return patient.health_level
-    return sum(patient.health_history) / len(patient.health_history)
+    return patient.treated_health_total / patient.times_treated
 
 
 def tournament_select(population: list, k: int, scores: list[float], rng: RngStream):

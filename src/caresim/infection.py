@@ -13,14 +13,11 @@ NEEDS_DOCTOR_THRESHOLD = 0.6
 INFECTION_ELIGIBLE_ABOVE = 0.1
 
 
-def infect(patient: PatientState, order: int) -> bool:
-    """Apply one infection if the patient is eligible; returns whether it landed."""
-    if patient.is_infected or patient.health_level <= INFECTION_ELIGIBLE_ABOVE:
-        return False
+def infect(patient: PatientState, order: int) -> None:
+    """Apply one infection; :func:`spread_infection` picks only eligible patients."""
     patient.health_level = max(0.0, patient.health_level - INFECTION_SEVERITY)
     patient.is_infected = True
     patient.infected_order = order
-    return True
 
 
 def spread_infection(
@@ -31,8 +28,10 @@ def spread_infection(
 ) -> int:
     """Infect up to ``n`` distinct eligible patients, sampled uniformly.
 
-    Orders run consecutively from ``first_order`` in pick order.  Returns
-    the number of infections applied.
+    Eligible means not infected and above the health floor; the pool's
+    size sets how many draws the sample takes.  Orders run consecutively
+    from ``first_order`` in pick order.  Returns the number of infections
+    applied.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -164,8 +164,8 @@ def check_patient_invariants(patient: PatientState, num_doctors: int, num_patien
     assert abs(total - 1.0) <= WEIGHT_SUM_TOL
     if patient.is_infected:
         assert patient.infected_order is not None
-    for level in patient.health_history:
-        assert 0.0 <= level <= 1.0
+    # Post-treatment levels lie in [0.1, 1.0], so their total is at most the count.
+    assert 0.0 <= patient.treated_health_total <= patient.times_treated
     check_tie_format(patient.social_ties_doctors, num_doctors)
     check_tie_format(patient.social_ties_patients, num_patients, patient.patient_id)
     assert bool(patient.social_ties_doctors) == bool(patient.social_ties_patients)

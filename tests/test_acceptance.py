@@ -121,7 +121,7 @@ def _example_infection():
     assert patient.health_level == pytest.approx(0.7, abs=1e-9)
     assert priority(patient) == (False, 3, pytest.approx(0.7))
     floor = make_patient(health_level=0.1)
-    assert not infect(floor, 0)
+    assert spread_infection([floor], 1, 0, RngStream(1)) == 0 and not floor.is_infected
     healthy = make_patient(health_level=0.9)
     assert priority(healthy) == (True, float("inf"), 0.9)
     assert needs_doctor(make_patient(health_level=0.59))
@@ -236,7 +236,8 @@ def _example_evolution():
     assert evo.fitness_doctor(make_doctor(0), RatingLedger()) == 0
     assert evo.fitness_doctor(make_doctor(0), _ledger((0, 0, 5), (0, 1, 5), (0, 2, 4))) == \
         pytest.approx(14 / 3, abs=1e-9)
-    assert evo.fitness_patient(make_patient(health_history=[0.5, 0.9])) == pytest.approx(0.7, abs=1e-9)
+    assert evo.fitness_patient(make_patient(treated_health_total=1.4, times_treated=2)) == \
+        pytest.approx(0.7, abs=1e-9)
     assert evo.fitness_patient(make_patient(health_level=0.73)) == 0.73
 
     ledger = RatingLedger()
@@ -286,7 +287,7 @@ def _example_evolution():
     assert (pat_loser.cred_weight, pat_loser.mean_rating_weight, pat_loser.past_rating_weight) == \
         pytest.approx((0.3, 0.2, 0.5), abs=1e-9)
 
-    frozen = [make_patient(i, health_history=[0.3 + 0.1 * i]) for i in range(6)]
+    frozen = [make_patient(i, treated_health_total=0.3 + 0.1 * i, times_treated=1) for i in range(6)]
     before = copy.deepcopy(frozen)
     evo.evolve_population(
         frozen,
@@ -325,7 +326,7 @@ def test_criterion_1_equation_oracles():
 # --------------------------------------------------------------------------
 
 def _elite_slot(population, scores):
-    return min(range(len(population)), key=lambda i: (-scores[i], population[i].agent_id))
+    return min(range(len(population)), key=lambda i: (-scores[i], i))  # population[i] has id i
 
 
 def _credential_rank(doctor):
@@ -351,7 +352,7 @@ def _evolve_battery(model, steps, seed):
                            base_seed=seed)
     state = init_run_state(cfg, seed)
     for patient in state.patients:
-        patient.health_history.append(rng.uniform(0.1, 1.0))
+        patient.treated_health_total, patient.times_treated = rng.uniform(0.1, 1.0), 1
     ranks = {d.doctor_id: _credential_rank(d) for d in state.doctors}
     ga_cfg = dataclasses.replace(cfg, mutation_chance=0.6, crossover_chance=0.6,
                                  tournaments_per_round=2)
@@ -406,7 +407,7 @@ def test_criterion_2_invariant_battery():
 # Criterion 3: choice oracle.
 # --------------------------------------------------------------------------
 
-def _random_instance(rng, css):
+def _random_instance(rng, css, coarse_ties=False):
     num_doctors = 1 + rng.index(10)
     doctors = []
     busy = set()
@@ -425,8 +426,10 @@ def _random_instance(rng, css):
         raw[0] / total, raw[1] / total, raw[2] / total)
     if css:
         # A run's layout: lists indexed by id, the patient's own slot 0.0 and undrawn.
-        patient.social_ties_doctors = [rng.uniform(0, 1) for _ in doctors]
-        patient.social_ties_patients = [0.0] + [rng.uniform(0, 1) for _ in range(1, 5)]
+        # Coarse ties snap the same draws to {0, 0.5, 1}, so judgments can tie.
+        tie = (lambda u: round(u * 2) / 2) if coarse_ties else (lambda u: u)
+        patient.social_ties_doctors = [tie(rng.uniform(0, 1)) for _ in doctors]
+        patient.social_ties_patients = [0.0] + [tie(rng.uniform(0, 1)) for _ in range(1, 5)]
     ledger = RatingLedger()
     for doctor in doctors:
         for rater in range(1, 5):
@@ -444,22 +447,29 @@ def test_criterion_3_choice_oracle():
     started = time.perf_counter()
     rng = RngStream(31337)
     loyalty_cases = 0
+    css_ties = 0
     for case in range(1000):
         css = case % 2 == 1
-        judge = cog.judge_doctor_css if css else cl.judge_doctor
-        patient, doctors, ledger, busy = _random_instance(rng, css)
-        if patient.last_doctor_id is not None and \
-                ledger.rating_by_patient(patient.last_doctor_id, 0) == 5:
-            loyalty_cases += 1
         # Every other case of each model lists the free doctors in descending
-        # id order, so the lowest-id tie rule cannot lean on the map's order.
-        order = reversed(doctors) if case // 2 % 2 else doctors
+        # id order, so the lowest-id tie rule cannot lean on the map's order;
+        # those css cases also get coarse ties, so their best scores can tie.
+        flip = case // 2 % 2 == 1
+        judge = cog.judge_doctor_css if css else cl.judge_doctor
+        patient, doctors, ledger, busy = _random_instance(rng, css, coarse_ties=flip)
+        loyal = patient.last_doctor_id is not None and \
+            ledger.rating_by_patient(patient.last_doctor_id, 0) == 5
+        loyalty_cases += loyal
+        order = reversed(doctors) if flip else doctors
         free = {d.doctor_id: d for d in order if d.doctor_id not in busy}
+        scores = [judge(patient, d, ledger) for d in free.values()]
+        if css and scores and needs_doctor(patient) and not (loyal and patient.last_doctor_id in free):
+            css_ties += scores.count(max(scores)) > 1
         assert cl.choose_doctor(patient, free, ledger, judge) == exhaustive_choose(
             patient, doctors, ledger, judge, busy)
     elapsed = time.perf_counter() - started
-    report(3, "choice oracle", elapsed < 5.0 and loyalty_cases > 100,
-           f"1000 instances ({loyalty_cases} loyalty-armed) in {elapsed:.1f}s")
+    report(3, "choice oracle", elapsed < 5.0 and loyalty_cases > 100 and css_ties > 0,
+           f"1000 instances ({loyalty_cases} loyalty-armed, {css_ties} css with a tied best score) "
+           f"in {elapsed:.1f}s")
 
 
 # --------------------------------------------------------------------------

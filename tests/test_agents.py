@@ -105,7 +105,7 @@ def test_patient_draw_ranges_and_weight_sum():
         assert abs(total - 1.0) <= 1e-9
         assert not patient.is_infected
         assert patient.infected_order is None
-        assert patient.health_history == []
+        assert (patient.treated_health_total, patient.times_treated) == (0.0, 0)
 
 
 def test_classical_patient_has_no_ties():
@@ -186,7 +186,7 @@ def test_deepcopy_is_equal_and_independent(model):
     state = init_run_state(cfg, derive_run_seed(cfg.base_seed, 0))
     for round_index in range(1, 4):
         run_round(state, round_index)
-    assert any(p.health_history for p in state.patients)
+    assert any(p.times_treated for p in state.patients)
     assert any(d.experience for d in state.doctors)
     if model is ModelKind.CSS:
         assert all(p.social_ties_patients for p in state.patients)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from caresim import Credential, RatingLedger, RngStream
 from caresim.classical import (
     choose_doctor,
+    health_score,
     judge_doctor,
     rate_doctor,
     receive_treatment,
@@ -206,21 +207,30 @@ def test_update_health_level_clamps_and_records():
     patient = make_patient(health_level=0.5)
     update_health_level(patient, 0.3)
     assert patient.health_level == pytest.approx(0.8, abs=1e-9)
-    assert len(patient.health_history) == 1
+    assert patient.times_treated == 1
     update_health_level(patient, 0.5)
     assert patient.health_level == 1.0
-    assert len(patient.health_history) == 2
+    assert patient.times_treated == 2
+    assert patient.treated_health_total == pytest.approx(1.8, abs=1e-9)
 
 
 def test_rate_doctor_hand_cases():
     doctor = make_doctor(4)
     patient = make_patient(health_level=0.8)
     assert rate_doctor(patient, doctor) == 5
-    assert patient.last_doctor_id == 4
+    assert patient.last_doctor_id is None  # rating is pure; the exchange remembers the doctor
     patient.health_level = 0.4
     assert rate_doctor(patient, doctor) == 2
     patient.health_level = 0.0
     assert rate_doctor(patient, doctor) == 0
+
+
+def test_health_score_hand_cases():
+    assert health_score(make_patient(health_level=1.0)) == 5.0
+    assert health_score(make_patient(health_level=0.8)) == 5.0
+    assert health_score(make_patient(health_level=0.4)) == 2.5
+    assert health_score(make_patient(health_level=0.7)) == pytest.approx(4.375, abs=1e-12)
+    assert health_score(make_patient(health_level=0.0)) == 0.0
 
 
 @given(st.floats(min_value=0, max_value=1, allow_nan=False), st.floats(min_value=0, max_value=1, allow_nan=False))

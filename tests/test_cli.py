@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from caresim.cli import main
+from caresim.cli import build_parser, config_from_args, main
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -23,7 +25,10 @@ def test_seed_beyond_64_bits_is_usage_error(tmp_path, capsys):
 
 def test_missing_sizes_without_preset_is_usage_error(capsys):
     assert main(["--model", "classical"]) == 2
-    capsys.readouterr()
+    assert "without --preset you must pass --doctors, --patients, --rounds, --infected" in \
+        capsys.readouterr().err
+    assert main(["--patients", "20", "--rounds", "2"]) == 2
+    assert "without --preset you must pass --doctors, --infected" in capsys.readouterr().err
 
 
 def test_snapshot_flag_under_classical_is_usage_error(capsys):
@@ -72,6 +77,37 @@ def test_explicit_sizes_without_preset(tmp_path, capsys):
     capsys.readouterr()
     lines = (out / "metrics.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 1 + 3 * 2
+
+
+# Every config flag: (the SimulationConfig field it sets, a value no other flag uses).
+CONFIG_FLAG_VALUES = {
+    "--doctors": ("num_doctors", 11),
+    "--patients": ("num_patients", 130),
+    "--rounds": ("num_rounds", 13),
+    "--repeats": ("num_repeats", 3),
+    "--infected": ("num_infected_per_round", 17),
+    "--seed": ("base_seed", 19),
+    "--snapshot-every": ("snapshot_every", 7),
+    "--tournaments-per-round": ("tournaments_per_round", 23),
+    "--elites": ("num_elites", 2),
+    "--mutation-chance": ("mutation_chance", 0.29),
+    "--crossover-chance": ("crossover_chance", 0.31),
+}
+
+
+@pytest.mark.parametrize("preset", [[], ["--preset", "paper-full"], ["--preset", "paper-single"]])
+def test_each_config_flag_sets_its_field(preset):
+    parser = build_parser()
+    flags = set(re.findall(r"\[(--[a-z-]+)", parser.format_usage())) - {"--model", "--preset", "--out"}
+    assert flags == set(CONFIG_FLAG_VALUES)
+    argv = ["--model", "css", *preset]
+    for flag, (_, value) in CONFIG_FLAG_VALUES.items():
+        argv += [flag, str(value)]
+    config = config_from_args(parser.parse_args(argv))
+    assert {name: getattr(config, name) for name, _ in CONFIG_FLAG_VALUES.values()} == \
+        dict(CONFIG_FLAG_VALUES.values())
+    assert config.model.value == "css"
+    assert config.tournament_size == 5  # no flag sets it
 
 
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):

@@ -154,6 +154,7 @@ def test_rate_css_hand_cases():
 
     partial = make_patient(1, health_level=0.4, social_ties_doctors=[0.5])
     assert rate_doctor_css(partial, doctor) == pytest.approx(2.6)
+    assert partial.last_doctor_id is None  # rating is pure; the exchange remembers the doctor
 
     untied = make_patient(1, health_level=0.4, social_ties_doctors=[0.0])
     assert rate_doctor_css(untied, doctor) == pytest.approx(round_to_tenth(2.5))

@@ -37,9 +37,11 @@ def test_fitness_doctor_cases():
 
 
 def test_fitness_patient_cases():
-    assert fitness_patient(make_patient(health_history=[0.5, 0.9])) == pytest.approx(0.7, abs=1e-9)
+    assert fitness_patient(make_patient(treated_health_total=1.4, times_treated=2)) == \
+        pytest.approx(0.7, abs=1e-9)
     assert fitness_patient(make_patient(health_level=0.73)) == 0.73
-    assert fitness_patient(make_patient(health_history=[0.4] * 7)) == pytest.approx(0.4, abs=1e-9)
+    assert fitness_patient(make_patient(treated_health_total=2.8, times_treated=7)) == \
+        pytest.approx(0.4, abs=1e-9)
 
 
 # --- tournament selection ---
@@ -57,7 +59,7 @@ def test_tournament_full_population_finds_global_extremes():
 
 
 def test_tournament_winner_never_equals_loser():
-    patients = [make_patient(i, health_history=[0.5]) for i in range(6)]
+    patients = [make_patient(i, treated_health_total=0.5, times_treated=1) for i in range(6)]
     scores = [fitness_patient(p) for p in patients]
     rng = RngStream(11)
     for _ in range(200):
@@ -66,7 +68,7 @@ def test_tournament_winner_never_equals_loser():
 
 
 def test_tournament_ties_break_by_ascending_id():
-    patients = [make_patient(i, health_history=[0.5]) for i in range(4)]
+    patients = [make_patient(i, treated_health_total=0.5, times_treated=1) for i in range(4)]
     scores = [fitness_patient(p) for p in patients]
     stub = StubRng(sample=[(2, 0, 3, 1)])
     winner, loser = tournament_select(patients, 4, scores, stub)
@@ -88,7 +90,7 @@ def test_tournament_ties_match_tuple_key_sort(data):
     patients = [make_patient(i) for i in range(n)]
     winner, loser = tournament_select(patients, k, scores, StubRng(sample=[picks]))
     entrants = [patients[i] for i in picks]
-    entrants.sort(key=lambda agent: (-scores[agent.agent_id], agent.agent_id))
+    entrants.sort(key=lambda agent: (-scores[agent.patient_id], agent.patient_id))
     assert winner is entrants[0]
     assert loser is entrants[-1]
 
@@ -402,7 +404,7 @@ def test_crossover_moves_loser_strictly_toward_winner(r1, r2, a1, a2):
 def small_patient_population():
     patients = []
     for i in range(6):
-        patients.append(make_patient(i, health_history=[0.3 + 0.1 * i]))
+        patients.append(make_patient(i, treated_health_total=0.3 + 0.1 * i, times_treated=1))
     return patients
 
 

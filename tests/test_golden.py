@@ -1,5 +1,6 @@
 """Golden output check: SHA-256 digests of the bytes the CLI writes, and
-of the ``metrics.csv`` text of edge-population configs run as a library.
+of the ``metrics.csv`` text of edge-population configs run as a library,
+plus pins of float sums whose rounding ``sum()`` changed in CPython 3.12.
 
 A seed plus a config fixes every output byte, so a refactor that claims
 to keep behaviour must leave these digests unchanged.  The digests agree
@@ -16,13 +17,17 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from caresim import SimulationConfig, run_batch
+from caresim import RatingLedger, SimulationConfig, run_batch
+from caresim.agents import PatientState
+from caresim.classical import update_health_level
 from caresim.cli import main
+from caresim.evolution import fitness_patient
 from caresim.reporting import render_metrics_csv
 
 SINGLE = ["--preset", "paper-single", "--seed", "123"]
@@ -197,19 +202,50 @@ def test_library_css_elite_loses_tournament():
     check_library(*LIBRARY[4])
 
 
+# sum() of floats is compensated since CPython 3.12; these pins hold the
+# left fold, which every interpreter computes alike.
+
+def test_weighted_valuation_is_a_left_fold_on_every_interpreter():
+    # sum() of these terms reads 28.939155935105294 on CPython 3.12+.
+    rng = random.Random(5)
+    ratings = [round(rng.uniform(0, 5), 1) for _ in range(21)]
+    ties = [rng.random() for _ in range(21)]
+    ledger = RatingLedger()
+    for patient, rating in enumerate(ratings):
+        ledger.add_rating(0, patient, rating)
+    actual = ledger.weighted_valuation(0, ties)
+    assert actual == 28.93915593510529, f"weighted-valuation-left-fold: read {actual!r}"
+
+
+def test_fitness_patient_is_a_left_fold_on_every_interpreter():
+    # sum() of these levels reads 0.6, so a mean of 0.19999999999999998, on CPython 3.12+.
+    patient = PatientState(patient_id=0)
+    for level in (0.1, 0.2, 0.3):
+        patient.health_level = level
+        update_health_level(patient, 0.0)
+    actual = fitness_patient(patient)
+    assert actual == 0.20000000000000004, f"fitness-patient-left-fold: read {actual!r}"
+
+
+PINS = (test_weighted_valuation_is_a_left_fold_on_every_interpreter,
+        test_fitness_patient_is_a_left_fold_on_every_interpreter)
+
+
 if __name__ == "__main__":
-    cases = [(check, case) for case in GOLDEN] + [(check_library, case) for case in LIBRARY]
+    cases = ([(case[0], check, case) for case in GOLDEN]
+             + [(case[0], check_library, case) for case in LIBRARY]
+             + [(pin.__name__, pin, ()) for pin in PINS])
     failed = 0
-    for checker, case in cases:
+    for name, checker, args in cases:
         try:
-            checker(*case)
+            checker(*args)
         except AssertionError as exc:
             failed += 1
             print(f"FAIL {exc}")
         except Exception as exc:  # a crash in one case must not hide the others
             failed += 1
-            print(f"FAIL {case[0]}: {type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
-            print(f"ok   {case[0]}")
+            print(f"ok   {name}")
     print(f"golden: {len(cases) - failed}/{len(cases)} ok on Python {sys.version.split()[0]}")
     sys.exit(1 if failed else 0)

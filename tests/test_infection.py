@@ -1,7 +1,11 @@
+import copy
+
 import pytest
+from hypothesis import given, strategies as st
 
 from caresim import RngStream
 from caresim.infection import (
+    INFECTION_ELIGIBLE_ABOVE,
     infect,
     needs_doctor,
     priority,
@@ -12,26 +16,38 @@ from support import make_patient
 
 def test_infect_reduces_health_and_records_order():
     patient = make_patient(health_level=0.9)
-    assert infect(patient, 4)
+    infect(patient, 4)
     assert patient.health_level == pytest.approx(0.7, abs=1e-9)
     assert patient.is_infected
     assert patient.infected_order == 4
 
 
-def test_infect_requires_health_above_floor():
-    patient = make_patient(health_level=0.1)
-    assert not infect(patient, 0)
-    assert patient.health_level == 0.1
-    assert not patient.is_infected
+# One patient: (already infected, health level), with floor-health levels
+# (at or below 0.1, the boundary included) as likely as healthy ones.
+mixed_patient = st.tuples(
+    st.booleans(),
+    st.one_of(st.floats(0.0, INFECTION_ELIGIBLE_ABOVE), st.just(INFECTION_ELIGIBLE_ABOVE),
+              st.floats(INFECTION_ELIGIBLE_ABOVE, 1.0)),
+)
 
 
-def test_infect_skips_already_infected():
-    patient = make_patient(health_level=0.9)
-    infect(patient, 0)
-    before = patient.health_level
-    assert not infect(patient, 1)
-    assert patient.health_level == before
-    assert patient.infected_order == 0
+@given(st.lists(mixed_patient, max_size=25), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_spread_infects_only_eligible_patients_and_keeps_earlier_orders(kinds, n, seed):
+    patients = [make_patient(i, health_level=health) for i, (_, health) in enumerate(kinds)]
+    earlier = [p for (infected, _), p in zip(kinds, patients) if infected]
+    for order, patient in enumerate(earlier):
+        patient.is_infected, patient.infected_order = True, order
+    eligible = {p.patient_id for p in patients
+                if not p.is_infected and p.health_level > INFECTION_ELIGIBLE_ABOVE}
+    before = copy.deepcopy(patients)
+    applied = spread_infection(patients, n, len(earlier), RngStream(seed))
+    assert applied == min(n, len(eligible))
+    for patient, old in zip(patients, before):
+        if patient.patient_id not in eligible:
+            assert patient == old
+    assert [p.infected_order for p in earlier] == list(range(len(earlier)))
+    new_orders = sorted(p.infected_order for p in patients if p.patient_id in eligible and p.is_infected)
+    assert new_orders == list(range(len(earlier), len(earlier) + applied))
 
 
 def test_infect_never_drives_health_below_zero():
