@@ -29,9 +29,8 @@ def main() -> int:
     parser.add_argument("--out", default="network-evolution")
     args = parser.parse_args()
 
-    config = preset_single_run("css", base_seed=args.seed, snapshot_every=args.every)
     try:
-        config.validate()
+        config = preset_single_run("css", base_seed=args.seed, snapshot_every=args.every)
     except ConfigError as exc:
         print(f"{parser.prog}: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -35,13 +35,11 @@ def main() -> int:
     parser.add_argument("--out", default="experiments")
     args = parser.parse_args()
 
-    configs = {
-        model: preset_full_scale(model, num_repeats=args.repeats, base_seed=args.seed)
-        for model in (ModelKind.CLASSICAL, ModelKind.CSS)
-    }
     try:
-        for config in configs.values():
-            config.validate()
+        configs = {
+            model: preset_full_scale(model, num_repeats=args.repeats, base_seed=args.seed)
+            for model in (ModelKind.CLASSICAL, ModelKind.CSS)
+        }
     except ConfigError as exc:
         print(f"{parser.prog}: invalid configuration: {exc}", file=sys.stderr)
         return 2

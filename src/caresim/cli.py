@@ -50,17 +50,13 @@ REQUIRED_WITHOUT_PRESET = {"--doctors": "num_doctors", "--patients": "num_patien
 
 
 def config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(SimulationConfig)
-             if getattr(args, f.name, None) is not None}
-    if args.preset:
-        config = PRESETS[args.preset](**given)
-    else:
-        missing = [flag for flag, name in REQUIRED_WITHOUT_PRESET.items() if name not in given]
-        if missing:
-            raise ConfigError("without --preset you must pass " + ", ".join(missing))
-        config = SimulationConfig(**given)
-    config.validate()
-    return config
+    given = dict(PRESETS.get(args.preset, {}))
+    given.update((f.name, getattr(args, f.name)) for f in fields(SimulationConfig)
+                 if getattr(args, f.name, None) is not None)
+    missing = [flag for flag, name in REQUIRED_WITHOUT_PRESET.items() if name not in given]
+    if missing:
+        raise ConfigError("without --preset you must pass " + ", ".join(missing))
+    return SimulationConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:

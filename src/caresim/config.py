@@ -1,15 +1,21 @@
 """Run configuration: model variant, population sizes, and GA knobs.
 
+A :class:`SimulationConfig` is checked once, when it is built, and is
+frozen afterwards, so every config that exists is valid and nothing
+downstream checks it again.
+
 Two presets mirror the reference experiment setups: ``paper-full``
 (100 doctors, 1000 patients, 100 rounds, 200 infections per round,
 50 repeats) and ``paper-single`` (15 doctors, 100 patients, 20 rounds,
-one infection attempt per patient per round, single run).
+one infection attempt per patient per round, single run).  ``PRESETS``
+maps each name to its table of field values; a preset config is built
+from that table, the model and any overrides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -28,8 +34,13 @@ DEFAULT_MUTATION_CHANCE = {ModelKind.CLASSICAL: 0.5, ModelKind.CSS: 0.01}
 DEFAULT_CROSSOVER_CHANCE = {ModelKind.CLASSICAL: 0.3, ModelKind.CSS: 0.5}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
+    """One run setup, checked once, when it is built: the constructor
+    normalises ``model``, fills in its default GA chances and raises
+    :class:`ConfigError` on the first broken rule.  It is frozen, so a config
+    that exists stays valid; ``dataclasses.replace`` builds a checked copy."""
+
     model: ModelKind
     num_doctors: int
     num_patients: int
@@ -45,19 +56,11 @@ class SimulationConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
-        self.model = ModelKind(self.model)
+        object.__setattr__(self, "model", ModelKind(self.model))
         if self.mutation_chance is None:
-            self.mutation_chance = DEFAULT_MUTATION_CHANCE[self.model]
+            object.__setattr__(self, "mutation_chance", DEFAULT_MUTATION_CHANCE[self.model])
         if self.crossover_chance is None:
-            self.crossover_chance = DEFAULT_CROSSOVER_CHANCE[self.model]
-
-    def tournaments_for(self, population_size: int) -> int:
-        """Tournament events per round for one population (default: size/10 rounded up)."""
-        if self.tournaments_per_round is not None:
-            return self.tournaments_per_round
-        return math.ceil(population_size / 10)
-
-    def validate(self) -> None:
+            object.__setattr__(self, "crossover_chance", DEFAULT_CROSSOVER_CHANCE[self.model])
         counts = {
             "num_doctors": self.num_doctors,
             "num_patients": self.num_patients,
@@ -106,34 +109,27 @@ class SimulationConfig:
         if not 0 <= self.base_seed < 2**64:
             raise ConfigError("base_seed must be a non-negative 64-bit integer")
 
+    def tournaments_for(self, population_size: int) -> int:
+        """Tournament events per round for one population (default: size/10 rounded up)."""
+        if self.tournaments_per_round is not None:
+            return self.tournaments_per_round
+        return math.ceil(population_size / 10)
+
+
+PRESETS = {
+    "paper-full": dict(num_doctors=100, num_patients=1000, num_rounds=100,
+                       num_infected_per_round=200, num_repeats=50),
+    "paper-single": dict(num_doctors=15, num_patients=100, num_rounds=20,
+                         num_infected_per_round=100, num_repeats=1),
+}
+"""Field values of each named setup; ``model`` and any override complete it."""
+
 
 def preset_full_scale(model: ModelKind | str, **overrides) -> SimulationConfig:
     """The ``paper-full`` setup: 100 doctors, 1000 patients, 100 rounds."""
-    cfg = SimulationConfig(
-        model=ModelKind(model),
-        num_doctors=100,
-        num_patients=1000,
-        num_rounds=100,
-        num_infected_per_round=200,
-        num_repeats=50,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return SimulationConfig(model=model, **{**PRESETS["paper-full"], **overrides})
 
 
 def preset_single_run(model: ModelKind | str, **overrides) -> SimulationConfig:
     """The ``paper-single`` setup: 15 doctors, 100 patients, 20 rounds."""
-    cfg = SimulationConfig(
-        model=ModelKind(model),
-        num_doctors=15,
-        num_patients=100,
-        num_rounds=20,
-        num_infected_per_round=100,
-        num_repeats=1,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-PRESETS = {
-    "paper-full": preset_full_scale,
-    "paper-single": preset_single_run,
-}
+    return SimulationConfig(model=model, **{**PRESETS["paper-single"], **overrides})

@@ -132,7 +132,6 @@ def _mean(values) -> float:
 
 
 def init_run_state(config: SimulationConfig, run_seed: int) -> RunState:
-    config.validate()
     rng = RngStream(run_seed)
     sizes = (config.num_doctors, config.num_patients)
     doctors = [init_doctor(i, rng, config.model, *sizes) for i in range(config.num_doctors)]
@@ -229,7 +228,6 @@ def run_simulation(config: SimulationConfig, run_seed: int,
     """Initialize populations from the seed and execute all rounds, passing
     each due snapshot to ``on_snapshot(snapshot)`` as it is captured.  A
     snapshot schedule without a sink raises ``ValueError`` before initialization."""
-    config.validate()
     if config.snapshot_every > 0 and on_snapshot is None:
         raise ValueError("snapshot_every is set but no on_snapshot sink was given")
     state = init_run_state(config, run_seed)
@@ -271,7 +269,6 @@ def aggregate_rounds(per_run_metrics: list[list[RoundMetrics]], model: ModelKind
 def run_batch(config: SimulationConfig, on_snapshot: Callable | None = None) -> BatchResult:
     """Run ``num_repeats`` simulations in repeat order and aggregate per round,
     passing each snapshot to ``on_snapshot(repeat, snapshot)`` as it is captured."""
-    config.validate()
     runs = [
         run_simulation(config, derive_run_seed(config.base_seed, repeat),
                        None if on_snapshot is None else partial(on_snapshot, repeat))

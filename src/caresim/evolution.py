@@ -62,8 +62,6 @@ def tournament_select(population: list, k: int, scores: list[float], rng: RngStr
     has the highest score and the loser the lowest; equal scores rank by
     ascending id (stable sorts: by id, then by descending score).
     """
-    if k > len(population):
-        raise ValueError("tournament size exceeds population")
     entrants = rng.sample(range(len(population)), k)
     entrants.sort()
     entrants.sort(key=scores.__getitem__, reverse=True)

@@ -33,8 +33,6 @@ def spread_infection(
     from ``first_order`` in pick order.  Returns the number of infections
     applied.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     eligible = [
         p for p in patients
         if not p.is_infected and p.health_level > INFECTION_ELIGIBLE_ABOVE

@@ -73,30 +73,17 @@ def comprehension_peer_ties(self_id: int, size: int, rng) -> list:
 
 
 def make_doctor(doctor_id=0, **overrides) -> DoctorState:
-    doctor = DoctorState(
-        doctor_id=doctor_id,
-        research_ability=0.4,
-        empathy=0.5,
-        technological_resource_constraint=0.3,
-        credential=Credential.MEDIUM,
-    )
-    for name, value in overrides.items():
-        setattr(doctor, name, value)
-    return doctor
+    """A doctor with fixed test traits; an override naming no field raises ``TypeError``."""
+    defaults = dict(research_ability=0.4, empathy=0.5,
+                    technological_resource_constraint=0.3, credential=Credential.MEDIUM)
+    return DoctorState(doctor_id=doctor_id, **{**defaults, **overrides})
 
 
 def make_patient(patient_id=0, **overrides) -> PatientState:
-    patient = PatientState(
-        patient_id=patient_id,
-        health_level=0.5,
-        resilience=0.2,
-        cred_weight=1 / 3,
-        mean_rating_weight=1 / 3,
-        past_rating_weight=1 / 3,
-    )
-    for name, value in overrides.items():
-        setattr(patient, name, value)
-    return patient
+    """A patient with fixed test traits; an override naming no field raises ``TypeError``."""
+    defaults = dict(health_level=0.5, resilience=0.2, cred_weight=1 / 3,
+                    mean_rating_weight=1 / 3, past_rating_weight=1 / 3)
+    return PatientState(patient_id=patient_id, **{**defaults, **overrides})
 
 
 def ga_config(**overrides) -> SimulationConfig:

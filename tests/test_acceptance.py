@@ -421,6 +421,10 @@ def _random_instance(rng, css, coarse_ties=False):
             busy.add(i)
     patient = make_patient(0, health_level=rng.uniform(0.1, 0.7))
     raw = [rng.uniform(0, 1) for _ in range(3)]
+    if css and coarse_ties:
+        # Weights on {1, 2} from the same draws: never all zero, and equal
+        # weights let differently rated doctors reach the same score.
+        raw = [1 + round(u) for u in raw]
     total = sum(raw)
     patient.cred_weight, patient.mean_rating_weight, patient.past_rating_weight = (
         raw[0] / total, raw[1] / total, raw[2] / total)
@@ -452,7 +456,7 @@ def test_criterion_3_choice_oracle():
         css = case % 2 == 1
         # Every other case of each model lists the free doctors in descending
         # id order, so the lowest-id tie rule cannot lean on the map's order;
-        # those css cases also get coarse ties, so their best scores can tie.
+        # those css cases also get coarse ties and weights, so their best scores can tie.
         flip = case // 2 % 2 == 1
         judge = cog.judge_doctor_css if css else cl.judge_doctor
         patient, doctors, ledger, busy = _random_instance(rng, css, coarse_ties=flip)

@@ -18,7 +18,13 @@ from caresim import (
     run_round,
 )
 from caresim.agents import _peer_ties
-from support import check_doctor_invariants, check_patient_invariants, comprehension_peer_ties
+from support import (
+    check_doctor_invariants,
+    check_patient_invariants,
+    comprehension_peer_ties,
+    make_doctor,
+    make_patient,
+)
 
 NUM_DOCTORS = 4
 NUM_PATIENTS = 6
@@ -208,3 +214,14 @@ def test_deepcopy_is_equal_and_independent(model):
             cloned[:] = [item / 2 + 0.25 for item in cloned]
             cloned.append(0.5)
         assert dataclasses.asdict(agent) == before
+
+
+@pytest.mark.parametrize("build, removed", [
+    (make_patient, {"health_history": [0.3]}),
+    (make_doctor, {"is_busy": True}),
+])
+def test_builders_reject_removed_field_names(build, removed):
+    # A test left on a removed field name must fail, not build an agent
+    # that silently carries an extra attribute.
+    with pytest.raises(TypeError):
+        build(0, **removed)

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from caresim import preset_full_scale, preset_single_run
 from caresim.cli import build_parser, config_from_args, main
 
 
@@ -29,6 +30,18 @@ def test_missing_sizes_without_preset_is_usage_error(capsys):
         capsys.readouterr().err
     assert main(["--patients", "20", "--rounds", "2"]) == 2
     assert "without --preset you must pass --doctors, --infected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["classical", "css"])
+@pytest.mark.parametrize("preset, build, sizes", [
+    ("paper-full", preset_full_scale, (100, 1000, 100, 200, 50)),
+    ("paper-single", preset_single_run, (15, 100, 20, 100, 1)),
+])
+def test_preset_flag_builds_the_documented_setup(preset, build, sizes, model):
+    config = config_from_args(build_parser().parse_args(["--preset", preset, "--model", model]))
+    assert config == build(model)
+    assert (config.num_doctors, config.num_patients, config.num_rounds,
+            config.num_infected_per_round, config.num_repeats) == sizes
 
 
 def test_snapshot_flag_under_classical_is_usage_error(capsys):

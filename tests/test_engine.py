@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -37,15 +38,15 @@ def small_config(model="classical", **overrides):
 
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigError):
-        small_config(num_doctors=0).validate()
+        small_config(num_doctors=0)
     with pytest.raises(ConfigError):
-        small_config(num_infected_per_round=21).validate()
+        small_config(num_infected_per_round=21)
     with pytest.raises(ConfigError):
-        small_config(tournament_size=7).validate()
+        small_config(tournament_size=7)
     with pytest.raises(ConfigError):
-        small_config(num_elites=6).validate()
+        small_config(num_elites=6)
     with pytest.raises(ConfigError):
-        small_config(snapshot_every=2).validate()  # classical cannot snapshot
+        small_config(snapshot_every=2)  # classical cannot snapshot
     with pytest.raises(ConfigError):
         run_simulation(small_config(num_rounds=-1), 1)
     for field, value in (
@@ -56,7 +57,7 @@ def test_invalid_configs_rejected():
         ("snapshot_every", 2.5),
     ):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-            small_config("css", **{field: value}).validate()
+            small_config("css", **{field: value})
     # bool is an int subclass, but no count or chance takes one.
     for field, value in (
         ("num_repeats", True),
@@ -64,18 +65,31 @@ def test_invalid_configs_rejected():
         ("snapshot_every", True),
     ):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-            small_config("css", **{field: value}).validate()
+            small_config("css", **{field: value})
     for field, value in (
         ("crossover_chance", True),
         ("mutation_chance", "0.5"),
     ):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
-            small_config("css", **{field: value}).validate()
+            small_config("css", **{field: value})
     # The RNG masks seeds to 64 bits, so 2**64 would alias seed 0.
-    small_config(base_seed=2**64 - 1).validate()
+    small_config(base_seed=2**64 - 1)
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match="base_seed must be a non-negative 64-bit integer"):
-            small_config(base_seed=seed).validate()
+            small_config(base_seed=seed)
+
+
+def test_config_fields_cannot_be_assigned():
+    # Configs are checked only when built, so none may change afterwards.
+    cfg = small_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.num_doctors = 0
+    assert cfg.num_doctors == 6
+
+
+def test_replace_checks_the_new_config():
+    with pytest.raises(ConfigError, match="population sizes must be positive"):
+        dataclasses.replace(small_config(), num_doctors=0)
 
 
 def test_default_chances_follow_model():

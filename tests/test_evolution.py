@@ -473,8 +473,8 @@ def test_evolve_copies_elites_in_rank_order_with_ties_by_id(data):
         copied.append(agent.patient_id)
         return copy.deepcopy(agent)
 
-    cfg = ga_config(num_elites=num_elites, tournament_size=1, mutation_chance=0.0,
-                    crossover_chance=0.0, tournaments_per_round=1)
+    cfg = ga_config(num_doctors=n, num_patients=n, num_elites=num_elites, tournament_size=1,
+                    mutation_chance=0.0, crossover_chance=0.0, tournaments_per_round=1)
     with mock.patch.object(evolution, "copy", types.SimpleNamespace(deepcopy=deepcopy)):
         evolve_population(patients, cfg, scores, None, None, RngStream(n))
     assert copied == sorted(range(n), key=lambda i: (-scores[i], i))[:num_elites]

@@ -62,6 +62,18 @@ def test_spread_zero_changes_nothing():
     assert all(not p.is_infected and p.infected_order is None for p in patients)
 
 
+def test_spread_negative_count_raises_before_any_draw():
+    patients = [make_patient(i, health_level=0.9) for i in range(5)]
+    patients[2].health_level = 0.05
+    before = copy.deepcopy(patients)
+    rng = RngStream(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        spread_infection(patients, -1, 0, rng)
+    assert rng.getstate() == state
+    assert patients == before
+
+
 def test_spread_exhausts_eligible_pool():
     patients = [make_patient(i, health_level=0.9) for i in range(5)]
     patients[2].health_level = 0.05
