@@ -56,7 +56,11 @@ class SimulationConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "model", ModelKind(self.model))
+        try:
+            object.__setattr__(self, "model", ModelKind(self.model))
+        except ValueError:
+            names = [kind.value for kind in ModelKind]
+            raise ConfigError(f"model must be one of {names}, got {self.model!r}") from None
         if self.mutation_chance is None:
             object.__setattr__(self, "mutation_chance", DEFAULT_MUTATION_CHANCE[self.model])
         if self.crossover_chance is None:

@@ -170,17 +170,19 @@ def mutate_patient(patient: PatientState, rng: RngStream) -> None:
 
 def _average_ties(loser_ties: list[float], winner_ties: list[float], *keep: int) -> list[float]:
     """Slot-wise means of two tie lists; the ``keep`` slots hold the loser's value."""
-    averaged = [(x + y) / 2.0 for x, y in zip(loser_ties, winner_ties)]
+    averaged = [(x + y) * 0.5 for x, y in zip(loser_ties, winner_ties)]
     if averaged:  # classical agents hold no ties
         for key in keep:
             averaged[key] = loser_ties[key]
     return averaged
 
 
-def crossover_doctor(loser: DoctorState, winner: DoctorState, rng: RngStream) -> None:
+def crossover_doctor(loser: DoctorState, winner: DoctorState, rng: RngStream,
+                     average_ties: bool = True) -> None:
     """With inner 50% chance, pull the loser's traits to the parents' means.
 
     Only the loser changes; its own and the winner's doctor-tie slots stay.
+    ``average_ties=False`` leaves both tie lists as they are.
     """
     if not rng.chance(CROSSOVER_INNER_CHANCE):
         return
@@ -188,15 +190,18 @@ def crossover_doctor(loser: DoctorState, winner: DoctorState, rng: RngStream) ->
     loser.empathy = (loser.empathy + winner.empathy) / 2.0
     loser.weight_wmrat = (loser.weight_wmrat + winner.weight_wmrat) / 2.0
     loser.weight_mwres = (loser.weight_mwres + winner.weight_mwres) / 2.0
-    loser.social_ties_doctors = _average_ties(
-        loser.social_ties_doctors, winner.social_ties_doctors, loser.doctor_id, winner.doctor_id
-    )
-    loser.social_ties_patients = _average_ties(loser.social_ties_patients, winner.social_ties_patients)
+    if average_ties:
+        loser.social_ties_doctors = _average_ties(
+            loser.social_ties_doctors, winner.social_ties_doctors, loser.doctor_id, winner.doctor_id
+        )
+        loser.social_ties_patients = _average_ties(loser.social_ties_patients, winner.social_ties_patients)
 
 
-def crossover_patient(loser: PatientState, winner: PatientState, rng: RngStream) -> None:
+def crossover_patient(loser: PatientState, winner: PatientState, rng: RngStream,
+                      average_ties: bool = True) -> None:
     """With inner 50% chance, average resilience, judgment weights and ties
-    into the loser, except its own and the winner's patient-tie slots."""
+    into the loser, except its own and the winner's patient-tie slots;
+    ``average_ties=False`` leaves both tie lists as they are."""
     if not rng.chance(CROSSOVER_INNER_CHANCE):
         return
     loser.resilience = (loser.resilience + winner.resilience) / 2.0
@@ -204,10 +209,11 @@ def crossover_patient(loser: PatientState, winner: PatientState, rng: RngStream)
     loser.mean_rating_weight = (loser.mean_rating_weight + winner.mean_rating_weight) / 2.0
     loser.past_rating_weight = (loser.past_rating_weight + winner.past_rating_weight) / 2.0
     _renormalize_weights(loser)
-    loser.social_ties_doctors = _average_ties(loser.social_ties_doctors, winner.social_ties_doctors)
-    loser.social_ties_patients = _average_ties(
-        loser.social_ties_patients, winner.social_ties_patients, loser.patient_id, winner.patient_id
-    )
+    if average_ties:
+        loser.social_ties_doctors = _average_ties(loser.social_ties_doctors, winner.social_ties_doctors)
+        loser.social_ties_patients = _average_ties(
+            loser.social_ties_patients, winner.social_ties_patients, loser.patient_id, winner.patient_id
+        )
 
 
 def evolve_population(

@@ -6,6 +6,7 @@ import pytest
 
 from caresim import (
     SimulationConfig,
+    capture_snapshot,
     derive_run_seed,
     init_run_state,
     preset_single_run,
@@ -13,7 +14,7 @@ from caresim import (
     run_round,
     run_simulation,
 )
-from caresim import classical, cognitive, engine
+from caresim import classical, cognitive, engine, evolution
 from caresim.cli import main as cli_main
 from caresim.config import ConfigError
 from caresim.engine import METRIC_FIELDS, aggregate_rounds
@@ -37,6 +38,8 @@ def small_config(model="classical", **overrides):
 
 
 def test_invalid_configs_rejected():
+    with pytest.raises(ConfigError, match=r"model must be one of \['classical', 'css'\], got 'bogus'"):
+        small_config("bogus")
     with pytest.raises(ConfigError):
         small_config(num_doctors=0)
     with pytest.raises(ConfigError):
@@ -234,6 +237,101 @@ def test_paper_single_care_drains_into_latent_infection(model, last_active):
     assert run.last_active_round == last_active
     assert all(m.treatments_performed == 0 for m in run.metrics[last_active:])
     assert run.latent_infected == 100 == config.num_patients
+
+
+# A small css run whose round 5 is the first with no infection and no
+# seeker: every patient is infected and none is below the care threshold.
+LATENT_CSS = small_config("css", num_doctors=4, num_patients=16, num_rounds=10,
+                          num_infected_per_round=16, tournament_size=2, crossover_chance=1.0)
+LATENT_SEED = 2
+# No infections at all: rounds 1-4 still have seekers (patients that start
+# below the care threshold wait for the two doctors), and round 5 has none.
+UNINFECTED_CSS = dataclasses.replace(LATENT_CSS, num_doctors=2, num_patients=20, num_rounds=6,
+                                     num_infected_per_round=0)
+
+
+def all_latent_onset(metrics) -> int:
+    """First round with no infection and no seeker (treated or not)."""
+    return next(m.round_index for m in metrics
+                if m.infections_applied == m.treatments_performed == m.untreated_seekers == 0)
+
+
+def count_tie_averaging(monkeypatch) -> list[list[int]]:
+    """Per round driven through ``engine.run_round``: [applied crossovers,
+    ``_average_ties`` calls].  A crossover applies when its inner chance hits."""
+    rounds = []
+    real_average, real_run_round = evolution._average_ties, engine.run_round
+
+    class InnerChance:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def chance(self, probability):
+            hit = self.rng.chance(probability)
+            rounds[-1][0] += hit
+            return hit
+
+    def average(*args):
+        rounds[-1][1] += 1
+        return real_average(*args)
+
+    def counted_round(state, round_index, *rest):
+        rounds.append([0, 0])
+        return real_run_round(state, round_index, *rest)
+
+    def recording(crossover):
+        return lambda loser, winner, rng, *rest: crossover(loser, winner, InnerChance(rng), *rest)
+
+    monkeypatch.setattr(evolution, "_average_ties", average)
+    monkeypatch.setattr(engine, "run_round", counted_round)
+    monkeypatch.setattr(engine, "crossover_patient", recording(evolution.crossover_patient))
+    monkeypatch.setattr(engine, "crossover_doctor", recording(evolution.crossover_doctor))
+    return rounds
+
+
+@pytest.mark.parametrize("cfg, seed", [(LATENT_CSS, LATENT_SEED), (UNINFECTED_CSS, 4)])
+def test_run_simulation_skips_tie_averaging_once_all_latent(monkeypatch, cfg, seed):
+    onset = all_latent_onset(run_simulation(cfg, seed).metrics)
+    assert onset == 5 < cfg.num_rounds
+    rounds = count_tie_averaging(monkeypatch)
+    run_simulation(cfg, seed)
+    assert len(rounds) == cfg.num_rounds
+    # Each applied crossover averages its two tie lists until the state
+    # begins, and none does from then on, though crossovers still apply.
+    before, after = rounds[:onset - 1], rounds[onset - 1:]
+    assert [calls for _, calls in before] == [2 * applied for applied, _ in before]
+    assert [calls for _, calls in after] == [0] * len(after)
+    assert min(sum(applied for applied, _ in part) for part in (before, after)) > 0
+
+    # Driven round by round, the public API averages every applied crossover.
+    rounds.clear()
+    state = init_run_state(cfg, seed)
+    for round_index in range(1, cfg.num_rounds + 1):
+        engine.run_round(state, round_index)
+    assert len(rounds) == cfg.num_rounds
+    assert [calls for _, calls in rounds] == [2 * applied for applied, _ in rounds]
+    assert sum(applied for applied, _ in rounds[onset - 1:]) > 0
+
+
+def test_snapshot_after_the_all_latent_state_begins_holds_averaged_ties():
+    cfg = dataclasses.replace(LATENT_CSS, snapshot_every=4)  # rounds 4 and 8
+    taken = []
+    result = run_simulation(cfg, LATENT_SEED, taken.append)
+    onset = all_latent_onset(result.metrics)
+    assert [s.round_index for s in taken] == [4, 8]
+    assert onset < 8 < cfg.num_rounds  # the state began before the last snapshot
+
+    state = init_run_state(cfg, LATENT_SEED)
+    skipped = init_run_state(cfg, LATENT_SEED)
+    expected = []
+    for round_index in range(1, 9):
+        run_round(state, round_index)
+        run_round(skipped, round_index, ties_read_later=False)
+        if round_index % 4 == 0:
+            expected.append(capture_snapshot(state, round_index))
+    assert taken == expected
+    # Skipping in the latent rounds 5-8 would have changed round 8's ties.
+    assert capture_snapshot(skipped, 8).edges != taken[-1].edges
 
 
 def test_run_is_deterministic():

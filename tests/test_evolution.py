@@ -299,6 +299,14 @@ def test_mutate_patient_preserves_invariants(seed):
 
 # --- crossover ---
 
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=40))
+def test_average_ties_halves_the_sum_exactly(pairs):
+    # Multiplying by 0.5 and dividing by 2.0 scale the same rounded sum by
+    # the same power of two, so every bit agrees.
+    averaged = evolution._average_ties([x for x, _ in pairs], [y for _, y in pairs])
+    assert [v.hex() for v in averaged] == [((x + y) / 2.0).hex() for x, y in pairs]
+
+
 def test_crossover_doctor_averages_toward_winner():
     loser = css_doctor(research_ability=0.2, empathy=0.3)
     winner = make_doctor(
