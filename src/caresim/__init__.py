@@ -32,7 +32,7 @@ from .engine import (
     run_simulation,
 )
 from .ratings import RatingLedger
-from .reporting import export_metrics_csv, export_network_snapshot, load_network_snapshot
+from .reporting import export_metrics_csv, export_network_snapshot
 from .rng import RngStream, derive_run_seed
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "init_doctor",
     "init_patient",
     "init_run_state",
-    "load_network_snapshot",
     "preset_full_scale",
     "preset_single_run",
     "run_batch",

@@ -13,8 +13,8 @@ One round (mini-generation) executes, in order:
    changes no output.  Classical doctors treat with confidence 0.0.
    A round with no infection and no seeker is all-latent, and so is every
    later one (only those two change health or infection status), so no
-   sweep, judgment or rating reads a tie again: there ``run_simulation``
-   has the crossovers skip tie averaging once no snapshot is left to take.
+   sweep, judgment or rating reads a tie again: there the round's
+   crossovers skip tie averaging once no snapshot is left to take.
 4. Let each seeker in triage order pick a doctor from the round's map of
    free doctors and be treated; a doctor who treats leaves the map.
 5. Score every agent once, then evolve the patient population, then the
@@ -88,8 +88,8 @@ class NetworkSnapshot:
     """Directed tie-strength graph over all agents at the end of a round.
 
     Node ids are namespaced strings (``d<i>`` for doctors, ``p<i>`` for
-    patients); strengths are stored already rounded to six decimals so a
-    snapshot round-trips its serialized form exactly.
+    patients); strengths are stored already rounded to six decimals, the
+    precision the snapshot file holds.
     """
 
     round_index: int
@@ -156,8 +156,9 @@ def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) 
     return [cognitive.update_confidence(d, ledger, respect) for d in doctors]
 
 
-def run_round(state: RunState, round_index: int, ties_read_later: bool = True) -> RoundMetrics:
-    """Run one round; ``ties_read_later=False`` lets an all-latent round skip tie averaging."""
+def run_round(state: RunState, round_index: int) -> RoundMetrics:
+    """Run one round; an all-latent round after the last scheduled snapshot
+    skips tie averaging, so every way of driving a run reaches the same state."""
     cfg = state.config
     css = cfg.model is ModelKind.CSS
     infections = spread_infection(
@@ -186,7 +187,9 @@ def run_round(state: RunState, round_index: int, ties_read_later: bool = True) -
     treatments = len(state.doctors) - len(free)
 
     rng, ledger = state.rng, state.ledger
-    average_ties = ties_read_later or infections > 0 or bool(seekers)  # else all-latent
+    every = cfg.snapshot_every
+    last_snapshot = cfg.num_rounds - cfg.num_rounds % every if every else 0
+    average_ties = round_index <= last_snapshot or infections > 0 or bool(seekers)  # else all-latent
     patient_scores = [fitness_patient(p) for p in state.patients]
     doctor_scores = [fitness_doctor(d, ledger) for d in state.doctors]
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical
@@ -238,10 +241,8 @@ def run_simulation(config: SimulationConfig, run_seed: int,
         raise ValueError("snapshot_every is set but no on_snapshot sink was given")
     state = init_run_state(config, run_seed)
     metrics: list[RoundMetrics] = []
-    every = config.snapshot_every
-    last_snapshot = config.num_rounds - config.num_rounds % every if every else 0
     for round_index in range(1, config.num_rounds + 1):
-        metrics.append(run_round(state, round_index, round_index <= last_snapshot))
+        metrics.append(run_round(state, round_index))
         if config.snapshot_every > 0 and round_index % config.snapshot_every == 0:
             on_snapshot(capture_snapshot(state, round_index))
     latent = sum(1 for p in state.patients if p.is_infected and not needs_doctor(p))

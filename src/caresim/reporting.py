@@ -72,11 +72,3 @@ def export_network_snapshot(snapshot: NetworkSnapshot, path: str | Path) -> None
     except OSError as exc:
         raise OSError(f"cannot write network snapshot to {path}: {exc}") from exc
 
-
-def load_network_snapshot(path: str | Path) -> NetworkSnapshot:
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    return NetworkSnapshot(
-        round_index=document["round"],
-        nodes=[(node["id"], node["kind"]) for node in document["nodes"]],
-        edges=[(e["source"], e["target"], e["strength"]) for e in document["edges"]],
-    )

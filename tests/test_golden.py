@@ -1,6 +1,7 @@
-"""Golden output check: SHA-256 digests of the bytes the CLI writes, and
-of the ``metrics.csv`` text of edge-population configs run as a library,
-plus pins of float sums whose rounding ``sum()`` changed in CPython 3.12.
+"""Golden output check: SHA-256 digests of the bytes the CLI writes, of
+the ``metrics.csv`` text of edge-population configs run as a library, and
+of the full-precision final state of runs driven round by round, plus
+pins of float sums whose rounding ``sum()`` changed in CPython 3.12.
 
 A seed plus a config fixes every output byte, so a refactor that claims
 to keep behaviour must leave these digests unchanged.  The digests agree
@@ -8,7 +9,7 @@ on CPython 3.10 to 3.13.  A change that alters behaviour on purpose
 re-records them and says why.
 
 Imports only the standard library and ``caresim``, so it runs with
-pytest or directly::
+pytest or directly, which calls every module-level ``test_*`` function::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,7 +24,15 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from caresim import RatingLedger, SimulationConfig, run_batch
+from caresim import (
+    RatingLedger,
+    SimulationConfig,
+    derive_run_seed,
+    init_run_state,
+    preset_single_run,
+    run_batch,
+    run_round,
+)
 from caresim.agents import PatientState
 from caresim.classical import update_health_level
 from caresim.cli import main
@@ -158,6 +167,29 @@ def check_library(name: str, kwargs: dict, expected: str) -> None:
     assert actual == expected, f"{name}: metrics.csv digest changed\nexpected {expected}\nactual   {actual}"
 
 
+def state_digest(model: str) -> str:
+    """SHA-256 of a paper-single run's final state, driven round by round:
+    every agent's ``repr``, each doctor's raw ledger entries, and the RNG
+    state.  ``mean_rating`` is left out, since it still uses ``sum()``."""
+    config = preset_single_run(model, base_seed=123)
+    state = init_run_state(config, derive_run_seed(123, 0))
+    for round_index in range(1, config.num_rounds + 1):
+        run_round(state, round_index)
+    ledger = state.ledger
+    raw_ledger = [(ledger.recent_feedback(d),
+                   [ledger.rating_by_patient(d, p) for p in range(config.num_patients)])
+                  for d in range(config.num_doctors)]
+    digest = hashlib.sha256()
+    for item in (*state.doctors, *state.patients, *raw_ledger, state.rng.getstate()):
+        digest.update(repr(item).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def check_state(model: str, expected: str) -> None:
+    actual = state_digest(model)
+    assert actual == expected, f"{model}: final state digest changed\nexpected {expected}\nactual   {actual}"
+
+
 def test_single_classical():
     check(*GOLDEN[0])
 
@@ -202,6 +234,15 @@ def test_library_css_elite_loses_tournament():
     check_library(*LIBRARY[4])
 
 
+def test_state_single_classical():
+    check_state("classical", "3fb5ab4c6b569d8c72b3ee5201bc756a87a89fcc5a9d4844de7e123045d00646")
+
+
+def test_state_single_css():
+    # All-latent from round 7: pins the tie averaging skipped in rounds 7-20.
+    check_state("css", "d4083a9cbfe6ffb4386a58b2807f1ef6ebd2d83570052aa06935cc2a0846e2bc")
+
+
 # sum() of floats is compensated since CPython 3.12; these pins hold the
 # left fold, which every interpreter computes alike.
 
@@ -227,22 +268,14 @@ def test_fitness_patient_is_a_left_fold_on_every_interpreter():
     assert actual == 0.20000000000000004, f"fitness-patient-left-fold: read {actual!r}"
 
 
-PINS = (test_weighted_valuation_is_a_left_fold_on_every_interpreter,
-        test_fitness_patient_is_a_left_fold_on_every_interpreter)
-
-
 if __name__ == "__main__":
-    cases = ([(case[0], check, case) for case in GOLDEN]
-             + [(case[0], check_library, case) for case in LIBRARY]
-             + [(pin.__name__, pin, ()) for pin in PINS])
+    cases = [(name, case) for name, case in globals().items()
+             if name.startswith("test_") and callable(case)]
     failed = 0
-    for name, checker, args in cases:
+    for name, case in cases:
         try:
-            checker(*args)
-        except AssertionError as exc:
-            failed += 1
-            print(f"FAIL {exc}")
-        except Exception as exc:  # a crash in one case must not hide the others
+            case()
+        except Exception as exc:  # a failing or crashing case must not hide the others
             failed += 1
             print(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
