@@ -14,7 +14,8 @@ One round (mini-generation) executes, in order:
    A round with no infection and no seeker is all-latent, and so is every
    later one (only those two change health or infection status), so no
    sweep, judgment or rating reads a tie again: there the round's
-   crossovers skip tie averaging once no snapshot is left to take.
+   crossovers skip tie averaging once no snapshot is left to take, and
+   ``capture_snapshot`` refuses the state from then on.
 4. Let each seeker in triage order pick a doctor from the round's map of
    free doctors and be treated; a doctor who treats leaves the map.
 5. Score every agent once, then evolve the patient population, then the
@@ -40,6 +41,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import repeat
 from typing import Callable
 
 from . import classical, cognitive
@@ -105,6 +107,8 @@ class RunState:
     patients: list[PatientState]
     ledger: RatingLedger
     infections: int = 0
+    ties_unaveraged_from: int | None = None
+    """First round whose crossovers skipped tie averaging (css only); None until then."""
 
 
 @dataclass
@@ -190,6 +194,8 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     every = cfg.snapshot_every
     last_snapshot = cfg.num_rounds - cfg.num_rounds % every if every else 0
     average_ties = round_index <= last_snapshot or infections > 0 or bool(seekers)  # else all-latent
+    if css and not average_ties and state.ties_unaveraged_from is None:
+        state.ties_unaveraged_from = round_index
     patient_scores = [fitness_patient(p) for p in state.patients]
     doctor_scores = [fitness_doctor(d, ledger) for d in state.doctors]
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical
@@ -217,6 +223,12 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
 
 
 def capture_snapshot(state: RunState, round_index: int) -> NetworkSnapshot:
+    """The state's tie graph; raises ``ValueError`` once its ties went unaveraged."""
+    if state.ties_unaveraged_from is not None:
+        raise ValueError(
+            f"tie averaging was skipped from round {state.ties_unaveraged_from} on, so the ties "
+            "are not the model's; schedule the capture with snapshot_every"
+        )
     names = {"d": [f"d{d.doctor_id}" for d in state.doctors],
              "p": [f"p{p.patient_id}" for p in state.patients]}
     nodes = [(name, "doctor") for name in names["d"]] + [(name, "patient") for name in names["p"]]
@@ -225,7 +237,7 @@ def capture_snapshot(state: RunState, round_index: int) -> NetworkSnapshot:
         for own, agent in enumerate(agents):  # agents[i] has id i
             src = names[kind][own]
             for peer_kind, ties in (("d", agent.social_ties_doctors), ("p", agent.social_ties_patients)):
-                part = [(src, dst, round(strength, 6)) for dst, strength in zip(names[peer_kind], ties)]
+                part = list(zip(repeat(src), names[peer_kind], map(round, ties, repeat(6))))
                 if peer_kind == kind and part:
                     del part[own]  # the agent's own slot is no edge
                 edges += part

@@ -2,13 +2,16 @@
 
 Both writers are byte-stable: fixed column order, six-decimal reals,
 LF line endings, and sorted JSON keys, so identical inputs always
-produce identical files.  Snapshots are streamed item by item, in the
-bytes of ``json.dumps(document, indent=2, sort_keys=True) + "\n"``.
+produce identical files.  Snapshots are written as joined chunks of
+1,000 items, in the bytes of
+``json.dumps(document, indent=2, sort_keys=True) + "\n"``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -35,17 +38,19 @@ def export_metrics_csv(aggregates: list[RoundAggregate], path: str | Path) -> No
         raise OSError(f"cannot write metrics CSV to {path}: {exc}") from exc
 
 
-class _JsonStrings(dict):
-    """Each distinct string quoted once, exactly as ``json.dumps`` quotes it."""
+class _Pieces(dict):
+    """A name's piece of an array item, formatted once with the name quoted by ``json.dumps``."""
 
-    def __missing__(self, text: str) -> str:
-        quoted = self[text] = json.dumps(text)
-        return quoted
+    def __init__(self, template: str) -> None:
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, name: str) -> str:
+        piece = self[name] = self.template % json.dumps(name)
+        return piece
 
 
-# One array item each, in json.dumps layout; %r is the float form json writes.
-_NODE = ',\n    {\n      "id": %s,\n      "kind": %s\n    }'
-_EDGE = ',\n    {\n      "source": %s,\n      "strength": %r,\n      "target": %s\n    }'
+_CHUNK = 1000  # items joined per write
 
 
 def _write_array(handle: TextIO, key: str, items: Iterator[str]) -> None:
@@ -54,15 +59,23 @@ def _write_array(handle: TextIO, key: str, items: Iterator[str]) -> None:
         handle.write(f'  "{key}": [],\n')
     else:
         handle.write(f'  "{key}": [{first[1:]}')  # the first item takes no separating comma
-        handle.writelines(items)
+        for chunk in iter(lambda: "".join(islice(items, _CHUNK)), ""):
+            handle.write(chunk)
         handle.write("\n  ],\n")
 
 
 def export_network_snapshot(snapshot: NetworkSnapshot, path: str | Path) -> None:
     path = Path(path)
-    quoted = _JsonStrings()
-    edges = (_EDGE % (quoted[src], strength, quoted[dst]) for src, dst, strength in snapshot.edges)
-    nodes = (_NODE % (quoted[node_id], quoted[kind]) for node_id, kind in snapshot.nodes)
+    # One item each, in json.dumps layout; repr is the float form json writes.
+    heads = _Pieces(',\n    {\n      "source": %s,\n      "strength": ')
+    tails = _Pieces(',\n      "target": %s\n    }')
+    ids = _Pieces(',\n    {\n      "id": %s,\n')
+    kinds = _Pieces('      "kind": %s\n    }')
+    sources, targets, strengths = (map(itemgetter(i), snapshot.edges) for i in range(3))
+    edges = map(add, map(add, map(heads.__getitem__, sources), map(repr, strengths)),
+                map(tails.__getitem__, targets))
+    nodes = map(add, map(ids.__getitem__, map(itemgetter(0), snapshot.nodes)),
+                map(kinds.__getitem__, map(itemgetter(1), snapshot.nodes)))
     try:
         with path.open("w", encoding="utf-8", newline="\n") as handle:
             handle.write("{\n")

@@ -330,8 +330,41 @@ def test_snapshot_after_the_all_latent_state_begins_holds_averaged_ties():
         if round_index % 4 == 0:
             expected.append(capture_snapshot(state, round_index))
     assert taken == expected
-    # Skipping in the latent rounds 5-8 would have changed round 8's ties.
-    assert capture_snapshot(skipped, 8).edges != taken[-1].edges
+    # The run without a schedule skipped averaging from the onset on, so
+    # its round-8 capture would hold other ties; it is refused instead.
+    assert skipped.ties_unaveraged_from == onset
+    with pytest.raises(ValueError, match=f"round {onset} on.*snapshot_every"):
+        capture_snapshot(skipped, 8)
+
+
+def plain_snapshot_edges(state):
+    """Capture's edge layout, slot by slot: sources doctors then patients,
+    each agent's doctor ties then patient ties, without its own slot."""
+    edges = []
+    for kind, agents in (("d", state.doctors), ("p", state.patients)):
+        for own, agent in enumerate(agents):
+            for peer_kind, ties in (("d", agent.social_ties_doctors), ("p", agent.social_ties_patients)):
+                for slot, strength in enumerate(ties):
+                    if (peer_kind, slot) != (kind, own):
+                        edges.append((f"{kind}{own}", f"{peer_kind}{slot}", round(strength, 6)))
+    return edges
+
+
+@pytest.mark.parametrize("doctors, patients, rounds", [(1, 7, 3), (2, 1, 0), (3, 17, 4), (11, 5, 2)])
+def test_capture_matches_a_plain_nested_loop(doctors, patients, rounds):
+    cfg = small_config("css", num_doctors=doctors, num_patients=patients, num_rounds=rounds,
+                       num_infected_per_round=min(patients, 3), tournament_size=1,
+                       num_elites=0, crossover_chance=1.0, snapshot_every=max(rounds, 1))
+    state = init_run_state(cfg, 11)
+    for round_index in range(1, rounds + 1):
+        run_round(state, round_index)
+    snapshot = capture_snapshot(state, rounds)
+    assert snapshot.round_index == rounds
+    assert snapshot.nodes == ([(f"d{i}", "doctor") for i in range(doctors)]
+                              + [(f"p{i}", "patient") for i in range(patients)])
+    expected = plain_snapshot_edges(state)
+    assert len(expected) == (doctors + patients) * (doctors + patients - 1)
+    assert snapshot.edges == expected
 
 
 def test_run_is_deterministic():

@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -142,12 +144,8 @@ snapshots = st.builds(
 )
 
 
-@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(snapshots)
-def test_snapshot_bytes_equal_json_dumps_of_document(tmp_path, snapshot):
-    # The file is rewritten in place for every example.
-    path = tmp_path / "net.json"
-    export_network_snapshot(snapshot, path)
+def dumped(snapshot) -> bytes:
+    """The snapshot's document as ``json.dumps`` lays it out: the file's bytes."""
     document = {
         "round": snapshot.round_index,
         "nodes": [{"id": node_id, "kind": kind} for node_id, kind in snapshot.nodes],
@@ -156,9 +154,71 @@ def test_snapshot_bytes_equal_json_dumps_of_document(tmp_path, snapshot):
             for src, dst, strength in snapshot.edges
         ],
     }
-    expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    assert path.read_bytes() == expected.encode("utf-8")
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snapshots)
+def test_snapshot_bytes_equal_json_dumps_of_document(tmp_path, snapshot):
+    # The file is rewritten in place for every example.
+    path = tmp_path / "net.json"
+    export_network_snapshot(snapshot, path)
+    assert path.read_bytes() == dumped(snapshot)
     assert parsed_snapshot(path) == snapshot
+
+
+# Names that json.dumps escapes, and floats whose repr is unusual.
+ODD_NAMES = ['say "hi"', "back\\slash", "Zürich 東京", "bell\x07", "d0", ""]
+ODD_STRENGTHS = [-0.0, 5e-324, 1e-06, 1e16, 0.1 + 0.2, 1.0]
+
+
+def numbered_snapshot(num_edges, num_nodes=3):
+    # The first item is written alone and the rest in joined chunks of
+    # 1,000, so 1,001 and 2,001 items end on a chunk and 1,000 one short.
+    edges = [(ODD_NAMES[i % 6], ODD_NAMES[i % 5], ODD_STRENGTHS[i % 6])
+             for i in range(num_edges)]
+    nodes = [(ODD_NAMES[i % 6] + str(i), ("doctor", "patient")[i % 2]) for i in range(num_nodes)]
+    return NetworkSnapshot(round_index=num_edges, nodes=nodes, edges=edges)
+
+
+@pytest.mark.parametrize("num_edges, num_nodes", [(0, 3), (1000, 3), (1001, 3), (2001, 3), (6, 1001), (0, 0)])
+def test_snapshot_bytes_across_chunk_boundaries(tmp_path, num_edges, num_nodes):
+    snapshot = numbered_snapshot(num_edges, num_nodes)
+    path = tmp_path / "net.json"
+    export_network_snapshot(snapshot, path)
+    assert path.read_bytes() == dumped(snapshot)
+
+
+def test_snapshot_bytes_of_odd_names_and_strengths(tmp_path):
+    edges = [(src, dst, strength) for src in ODD_NAMES for dst in ODD_NAMES[::-1] for strength in ODD_STRENGTHS]
+    snapshot = NetworkSnapshot(round_index=7, nodes=[(name, name) for name in ODD_NAMES], edges=edges)
+    path = tmp_path / "net.json"
+    export_network_snapshot(snapshot, path)
+    raw = path.read_bytes()
+    assert raw == dumped(snapshot)
+    for text in ('"say \\"hi\\""', '"back\\\\slash"', '"Z\\u00fcrich \\u6771\\u4eac"', '"bell\\u0007"',
+                 "-0.0", "5e-324", "1e-06", "1e+16", "0.30000000000000004", "1.0"):
+        assert text.encode() in raw
+    assert parsed_snapshot(path) == snapshot
+
+
+def test_snapshot_export_streams_in_chunks(tmp_path):
+    # The file is written a chunk at a time, so the export's peak memory
+    # stays far below the file's size; a writer that joins the whole
+    # document holds all of it at once.
+    cfg = SimulationConfig(model=ModelKind.CSS, num_doctors=30, num_patients=220, num_rounds=1,
+                           num_infected_per_round=0)
+    snapshot = capture_snapshot(init_run_state(cfg, 3), 0)
+    assert len(snapshot.edges) >= 50_000
+    path = tmp_path / "net.json"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        export_network_snapshot(snapshot, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 10
 
 
 def test_snapshot_to_directory_path_raises_oserror_naming_it(tmp_path):
