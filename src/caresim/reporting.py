@@ -66,7 +66,7 @@ def _write_array(handle: TextIO, key: str, items: Iterator[str]) -> None:
 
 def export_network_snapshot(snapshot: NetworkSnapshot, path: str | Path) -> None:
     path = Path(path)
-    # One item each, in json.dumps layout; repr is the float form json writes.
+    # The pieces of each array item, in json.dumps layout; repr is the float form json writes.
     heads = _Pieces(',\n    {\n      "source": %s,\n      "strength": ')
     tails = _Pieces(',\n      "target": %s\n    }')
     ids = _Pieces(',\n    {\n      "id": %s,\n')

@@ -1,7 +1,10 @@
 """Shared test helpers: invariant checks, independent oracles, scripted RNG,
-and a round driver that keeps the final populations."""
+a round driver that keeps the final populations, and a peak-memory probe."""
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 from caresim import (
     Credential,
@@ -182,3 +185,14 @@ def exhaustive_choose(
         pool = free
     scored = [(judge(patient, d, ledger), -d.doctor_id, d.doctor_id) for d in pool]
     return max(scored)[2]
+
+
+def peak_traced_bytes(call) -> int:
+    """Peak of the memory that ``tracemalloc`` sees allocated during ``call()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

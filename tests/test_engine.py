@@ -1,6 +1,4 @@
 import dataclasses
-import gc
-import tracemalloc
 
 import pytest
 
@@ -20,7 +18,9 @@ from caresim.config import ConfigError
 from caresim.engine import METRIC_FIELDS, aggregate_rounds
 from caresim.evolution import fitness_doctor, fitness_patient
 from caresim.infection import needs_doctor
-from support import check_doctor_invariants, check_patient_invariants, check_respect_rows, run_to_end
+from support import (
+    check_doctor_invariants, check_patient_invariants, check_respect_rows, peak_traced_bytes, run_to_end,
+)
 
 
 def small_config(model="classical", **overrides):
@@ -518,17 +518,6 @@ def test_batch_runs_are_independent_of_each_other():
     batch = run_batch(cfg)
     solo = run_simulation(cfg, derive_run_seed(cfg.base_seed, 1))
     assert batch.runs[1].metrics == solo.metrics
-
-
-def peak_traced_bytes(call) -> int:
-    """Peak of the memory that ``tracemalloc`` sees allocated during ``call()``."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_batch_memory_does_not_grow_with_repeats():

@@ -1,7 +1,5 @@
 import csv
-import gc
 import json
-import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,6 +18,7 @@ from caresim.reporting import (
     export_network_snapshot,
     render_metrics_csv,
 )
+from support import peak_traced_bytes
 
 
 def tiny_batch(model="classical"):
@@ -172,7 +171,7 @@ ODD_NAMES = ['say "hi"', "back\\slash", "Zürich 東京", "bell\x07", "d0", ""]
 ODD_STRENGTHS = [-0.0, 5e-324, 1e-06, 1e16, 0.1 + 0.2, 1.0]
 
 
-def numbered_snapshot(num_edges, num_nodes=3):
+def sized_snapshot(num_edges, num_nodes):
     # The first item is written alone and the rest in joined chunks of
     # 1,000, so 1,001 and 2,001 items end on a chunk and 1,000 one short.
     edges = [(ODD_NAMES[i % 6], ODD_NAMES[i % 5], ODD_STRENGTHS[i % 6])
@@ -183,7 +182,7 @@ def numbered_snapshot(num_edges, num_nodes=3):
 
 @pytest.mark.parametrize("num_edges, num_nodes", [(0, 3), (1000, 3), (1001, 3), (2001, 3), (6, 1001), (0, 0)])
 def test_snapshot_bytes_across_chunk_boundaries(tmp_path, num_edges, num_nodes):
-    snapshot = numbered_snapshot(num_edges, num_nodes)
+    snapshot = sized_snapshot(num_edges, num_nodes)
     path = tmp_path / "net.json"
     export_network_snapshot(snapshot, path)
     assert path.read_bytes() == dumped(snapshot)
@@ -211,13 +210,7 @@ def test_snapshot_export_streams_in_chunks(tmp_path):
     snapshot = capture_snapshot(init_run_state(cfg, 3), 0)
     assert len(snapshot.edges) >= 50_000
     path = tmp_path / "net.json"
-    gc.collect()
-    tracemalloc.start()
-    try:
-        export_network_snapshot(snapshot, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(lambda: export_network_snapshot(snapshot, path))
     assert peak < path.stat().st_size / 10
 
 
