@@ -5,7 +5,8 @@ One round (mini-generation) executes, in order:
 1. Spread the configured number of infections among eligible patients;
    their infection orders continue the run's count of infections.
 2. Sort the patients below the care threshold (the seekers) by triage
-   priority, ties by ascending patient id.
+   priority, ties by ascending patient id.  From the first all-latent
+   round on (see 3), no patient can need care, so the round skips this scan.
 3. css only, and only when there is a seeker: build the respect matrix,
    and the sweep returns every doctor's confidence from it.  Confidence
    is read only by a treatment, and infection changes none of the
@@ -19,7 +20,9 @@ One round (mini-generation) executes, in order:
 4. Let each seeker in triage order pick a doctor from the round's map of
    free doctors and be treated; a doctor who treats leaves the map.
 5. Score every agent once, then evolve the patient population, then the
-   doctor population, from those scores.
+   doctor population, from those scores.  No score input changes in an
+   all-latent round, so the first one keeps its score tables and every
+   later round reuses them.
 6. Compute the round's population metrics; the fitness means reuse the
    scores, since a generation step changes no fitness input.
 
@@ -109,6 +112,8 @@ class RunState:
     infections: int = 0
     ties_unaveraged_from: int | None = None
     """First round whose crossovers skipped tie averaging (css only); None until then."""
+    latent_scores: tuple[list[float], list[float]] | None = None
+    """Patient and doctor score tables of the first all-latent round; None until then."""
 
 
 @dataclass
@@ -134,8 +139,7 @@ class RoundAggregate:
     std: dict[str, float]
 
 
-def _mean(values) -> float:
-    values = list(values)
+def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
@@ -161,8 +165,9 @@ def refresh_social_perception(doctors: list[DoctorState], ledger: RatingLedger) 
 
 
 def run_round(state: RunState, round_index: int) -> RoundMetrics:
-    """Run one round; an all-latent round after the last scheduled snapshot
-    skips tie averaging, so every way of driving a run reaches the same state."""
+    """Run one round.  From the first all-latent round on, a round reuses that
+    round's score tables and skips triage, and after the last scheduled snapshot
+    it skips tie averaging, so every way of driving a run reaches the same state."""
     cfg = state.config
     css = cfg.model is ModelKind.CSS
     infections = spread_infection(
@@ -172,9 +177,9 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
 
     # A treatment changes only its own patient, so who seeks care this
     # round is settled before the first treatment.
-    seekers = sorted(
-        (p for p in state.patients if needs_doctor(p)),
-        key=lambda p: (*priority(p), p.patient_id),
+    scores = state.latent_scores
+    seekers = [] if scores is not None else sorted(
+        filter(needs_doctor, state.patients), key=lambda p: (*priority(p), p.patient_id)
     )
     if css and seekers:
         confidence = refresh_social_perception(state.doctors, state.ledger)
@@ -193,11 +198,16 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     rng, ledger = state.rng, state.ledger
     every = cfg.snapshot_every
     last_snapshot = cfg.num_rounds - cfg.num_rounds % every if every else 0
-    average_ties = round_index <= last_snapshot or infections > 0 or bool(seekers)  # else all-latent
+    all_latent = not (infections or seekers)
+    average_ties = round_index <= last_snapshot or not all_latent
     if css and not average_ties and state.ties_unaveraged_from is None:
         state.ties_unaveraged_from = round_index
-    patient_scores = [fitness_patient(p) for p in state.patients]
-    doctor_scores = [fitness_doctor(d, ledger) for d in state.doctors]
+    if scores is None:
+        scores = ([fitness_patient(p) for p in state.patients],
+                  [fitness_doctor(d, ledger) for d in state.doctors])
+        if all_latent:
+            state.latent_scores = scores
+    patient_scores, doctor_scores = scores
     mutate_doctor = mutate_doctor_css if css else mutate_doctor_classical
     evolve_population(state.patients, cfg, patient_scores, lambda p: mutate_patient(p, rng),
                       lambda loser, winner: crossover_patient(loser, winner, rng, average_ties), rng)
@@ -208,14 +218,14 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
         round_index=round_index,
         doctor_fitness=_mean(doctor_scores),
         patient_fitness=_mean(patient_scores),
-        research_ability=_mean(d.research_ability for d in state.doctors),
-        empathy=_mean(d.empathy for d in state.doctors),
-        weight_wmrat=_mean(d.weight_wmrat for d in state.doctors),
-        weight_mwres=_mean(d.weight_mwres for d in state.doctors),
-        cred_weight=_mean(p.cred_weight for p in state.patients),
-        mean_rating_weight=_mean(p.mean_rating_weight for p in state.patients),
-        past_rating_weight=_mean(p.past_rating_weight for p in state.patients),
-        resilience=_mean(p.resilience for p in state.patients),
+        research_ability=_mean([d.research_ability for d in state.doctors]),
+        empathy=_mean([d.empathy for d in state.doctors]),
+        weight_wmrat=_mean([d.weight_wmrat for d in state.doctors]),
+        weight_mwres=_mean([d.weight_mwres for d in state.doctors]),
+        cred_weight=_mean([p.cred_weight for p in state.patients]),
+        mean_rating_weight=_mean([p.mean_rating_weight for p in state.patients]),
+        past_rating_weight=_mean([p.past_rating_weight for p in state.patients]),
+        resilience=_mean([p.resilience for p in state.patients]),
         infections_applied=infections,
         treatments_performed=treatments,
         untreated_seekers=len(seekers) - treatments,

@@ -235,11 +235,13 @@ def evolve_population(
     """
     elites = heapq.nlargest(cfg.num_elites, range(len(population)), key=scores.__getitem__)
     snapshots = [(i, copy.deepcopy(population[i])) for i in elites]
+    size, chance = cfg.tournament_size, rng.chance
+    crossover_chance, mutation_chance = cfg.crossover_chance, cfg.mutation_chance
     for _ in range(cfg.tournaments_for(len(population))):
-        winner, loser = tournament_select(population, cfg.tournament_size, scores, rng)
-        if rng.chance(cfg.crossover_chance):
+        winner, loser = tournament_select(population, size, scores, rng)
+        if chance(crossover_chance):
             crossover(loser, winner)
-        if rng.chance(cfg.mutation_chance):
+        if chance(mutation_chance):
             mutate(loser)
     for slot, snapshot in snapshots:
         population[slot] = snapshot

@@ -2,7 +2,8 @@
 
 Holds the latest rating each patient gave each doctor, plus each
 doctor's most recently arrived rating, which defines recency.
-Re-rating a doctor overwrites that patient's entry in the map.
+Re-rating a doctor overwrites that patient's entry in the map.  Each
+doctor's mean rating is kept once computed, until the doctor's next rating.
 """
 
 from __future__ import annotations
@@ -35,18 +36,22 @@ class RatingLedger:
     def __init__(self):
         self._by_doctor: dict[int, dict[int, float]] = {}
         self._last: dict[int, float] = {}
+        self._means: dict[int, float] = {}
 
     def add_rating(self, doctor_id: int, patient_id: int, rating: float) -> None:
         if not RATING_MIN <= rating <= RATING_MAX:
             raise ValueError(f"rating {rating} outside [{RATING_MIN}, {RATING_MAX}]")
         self._by_doctor.setdefault(doctor_id, {})[patient_id] = rating
         self._last[doctor_id] = rating
+        self._means.pop(doctor_id, None)
 
     def mean_rating(self, doctor_id: int) -> float:
-        current = self._by_doctor.get(doctor_id)
-        if not current:
-            return 0.0
-        return sum(current.values()) / len(current)
+        mean = self._means.get(doctor_id)
+        if mean is None:
+            current = self._by_doctor.get(doctor_id)
+            mean = sum(current.values()) / len(current) if current else 0.0
+            self._means[doctor_id] = mean
+        return mean
 
     def rating_by_patient(self, doctor_id: int, patient_id: int) -> float | None:
         return self._by_doctor.get(doctor_id, _EMPTY).get(patient_id)

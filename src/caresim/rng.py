@@ -54,7 +54,8 @@ class RngStream(random.Random):
     * :meth:`uniform` - one draw, ``lo + (hi - lo) * random()``.
     * :meth:`chance` - one draw, true iff ``random() < p``.
     * :meth:`sign` - one draw, +1 iff ``random() < 0.5`` else -1.
-    * :meth:`index` / :meth:`choice` - one draw, ``floor(random() * n)``.
+    * :meth:`index` / :meth:`choice` - one draw, ``floor(random() * n)``,
+      at most ``n - 1``.
     * :meth:`sample` - ``k`` draws, partial Fisher-Yates without
       replacement in pick order; O(k) memory, ``items`` never copied.
     """
@@ -77,7 +78,8 @@ class RngStream(random.Random):
     def index(self, n: int) -> int:
         if n <= 0:
             raise ValueError("index() needs a positive range")
-        return min(int(_draw(self) * n), n - 1)
+        j = int(_draw(self) * n)
+        return j if j < n else n - 1
 
     def choice(self, items):
         return items[self.index(len(items))]

@@ -10,6 +10,10 @@ the orchestration the obvious way:
 * css runs the perception sweep in every round that has a seeker;
 * each seeker picks by brute force over the doctors not in a busy set;
 * every elite is copied by pickling, before the tournaments;
+* every round recomputes every fitness score from the agents and ledger;
+* a round with no infection and no seeker after the last scheduled
+  snapshot skips tie averaging, the engine's rule, decided here from the
+  round's own infections and seekers;
 * a tournament samples a full copy of the ids and sorts the entrants by
   (score descending, id);
 * the fitness means are recomputed after the GA step.
@@ -86,7 +90,7 @@ def _rank_key(scores: list[float]):
 
 
 def _generation(population: list, cfg: SimulationConfig, scores: list[float],
-                mutate, crossover, rng: RngStream) -> None:
+                mutate, crossover, rng: RngStream, average_ties: bool) -> None:
     size = len(population)
     ranked = sorted(range(size), key=_rank_key(scores))
     elites = {i: pickle.loads(pickle.dumps(population[i])) for i in ranked[:cfg.num_elites]}
@@ -94,7 +98,7 @@ def _generation(population: list, cfg: SimulationConfig, scores: list[float],
         entrants = sorted(copying_sample(rng, range(size), cfg.tournament_size), key=_rank_key(scores))
         winner, loser = population[entrants[0]], population[entrants[-1]]
         if rng.chance(cfg.crossover_chance):
-            crossover(loser, winner, rng)
+            crossover(loser, winner, rng, average_ties)
         if rng.chance(cfg.mutation_chance):
             mutate(loser)
     for i, elite in elites.items():
@@ -123,6 +127,8 @@ def reference_run(cfg: SimulationConfig, run_seed: int) -> ReferenceRun:
     treat = cognitive.receive_treatment_css if css else classical.receive_treatment
     mutate_doctor = evolution.mutate_doctor_css if css else evolution.mutate_doctor_classical
     infections = 0
+    last_snapshot = max((r for r in range(1, cfg.num_rounds + 1)
+                         if cfg.snapshot_every and r % cfg.snapshot_every == 0), default=0)
     metrics = []
     for round_index in range(1, cfg.num_rounds + 1):
         eligible = [p for p in patients if not p.is_infected and p.health_level > INFECTION_ELIGIBLE_ABOVE]
@@ -143,12 +149,13 @@ def reference_run(cfg: SimulationConfig, run_seed: int) -> ReferenceRun:
                 treat(patient, doctors[pick], ledger, confidence[pick])
                 busy.add(pick)
 
+        average_ties = round_index <= last_snapshot or len(chosen) > 0 or len(seekers) > 0
         patient_scores = [evolution.fitness_patient(p) for p in patients]
         doctor_scores = [evolution.fitness_doctor(d, ledger) for d in doctors]
         _generation(patients, cfg, patient_scores, lambda p: evolution.mutate_patient(p, rng),
-                    evolution.crossover_patient, rng)
+                    evolution.crossover_patient, rng, average_ties)
         _generation(doctors, cfg, doctor_scores, lambda d: mutate_doctor(d, ledger, rng),
-                    evolution.crossover_doctor, rng)
+                    evolution.crossover_doctor, rng, average_ties)
 
         metrics.append(RoundMetrics(
             round_index=round_index,

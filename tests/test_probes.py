@@ -32,6 +32,10 @@ def test_probes_wrap_and_restore_every_patched_name(probes):
             assert getattr(owner, attr) is original, (owner.__name__, attr)
 
 
+# Traced rng.draws of the same runs: reusing the frozen score tables moves no draw.
+DRAWS = {"classical": 2774, "css": 15668}
+
+
 @pytest.mark.parametrize("model, applied, seekers, untreated, treatments", [
     ("classical", 206, 221, 115, 106),
     ("css", 167, 170, 103, 67),
@@ -60,3 +64,11 @@ def test_traced_counts_match_the_run_metrics(probes, model, applied, seekers, un
         "classical.untreated": untreated,
         "classical.treatments": treatments,
     }
+    # Every agent is scored once a round up to the first all-latent round,
+    # whose score tables the later rounds reuse, so a freeze that starts a
+    # round early or late moves this count; the draws stay as they were.
+    onset = next((m.round_index for m in metrics
+                  if m.infections_applied == m.treatments_performed == m.untreated_seekers == 0),
+                 config.num_rounds)
+    assert tracer.count("evolution.fitness_evals") == (config.num_doctors + config.num_patients) * onset
+    assert tracer.count("rng.draws") == DRAWS[model]

@@ -40,6 +40,21 @@ def test_mean_rating_cases():
     assert ledger_with((1, 1, 5)).mean_rating(1) == 5
 
 
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4),
+                          st.integers(0, 5) | st.floats(0.0, 5.0)), max_size=40))
+def test_mean_rating_follows_every_new_rater_and_overwrite(steps):
+    # The ledger keeps each doctor's mean until that doctor's next rating,
+    # so read every mean after every step: a kept mean that a new rater or
+    # an overwrite (same patient again) made stale shows as a mismatch.
+    ledger, model = RatingLedger(), {}
+    for doctor_id, patient_id, rating in steps:
+        ledger.add_rating(doctor_id, patient_id, rating)
+        model.setdefault(doctor_id, {})[patient_id] = rating
+        for d in range(4):
+            values = list(model.get(d, {}).values())
+            assert ledger.mean_rating(d) == (sum(values) / len(values) if values else 0.0)
+
+
 def test_rating_by_patient_absent_pairs():
     ledger = ledger_with((1, 1, 3))
     assert ledger.rating_by_patient(1, 1) == 3

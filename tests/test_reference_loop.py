@@ -5,7 +5,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from caresim import ModelKind, SimulationConfig, capture_snapshot, init_run_state, run_round, run_simulation
 from caresim.infection import needs_doctor
@@ -29,7 +29,9 @@ def configs(draw):
         num_doctors=num_doctors,
         num_patients=num_patients,
         num_rounds=num_rounds,
-        num_infected_per_round=draw(st.integers(0, num_patients)),
+        # None or all: a run without infections (where seekers alone decide
+        # the tie skip) or one that infects everyone and goes latent soon.
+        num_infected_per_round=draw(st.sampled_from([0, num_patients]) | st.integers(0, num_patients)),
         mutation_chance=draw(chances),
         crossover_chance=draw(chances),
         tournament_size=draw(st.integers(1, smallest)),
@@ -47,16 +49,29 @@ def ledger_view(ledger, num_doctors, num_patients):
     ]
 
 
+# Hand cases that every run checks, so a tie skip or a score freeze in a
+# round that still changes health fails every time: css runs that go
+# all-latent in round 5 with every patient infected (seed 2) or with no
+# infection at all, where seekers alone keep rounds 1-4 active (seed 4),
+# and a classical run whose one infection a round often lands in a round
+# without a seeker (seed 0).
+HAND = SimulationConfig(model="css", num_doctors=4, num_patients=16, num_rounds=10,
+                        num_infected_per_round=16, tournament_size=2, crossover_chance=1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(configs(), st.integers(0, 2**64 - 1))
+@example(HAND, 2)
+@example(dataclasses.replace(HAND, num_doctors=2, num_patients=20, num_rounds=6, num_infected_per_round=0), 4)
+@example(dataclasses.replace(HAND, model="classical", num_infected_per_round=1), 0)
 def test_engine_matches_the_reference_loop(cfg, run_seed):
     reference = reference_run(cfg, run_seed)
 
-    # The public round driver: every round's metrics, then the final
-    # agents, ledger and RNG state.  A css snapshot schedule that ends at
-    # the last round leaves no tie averaging to skip, as in the reference.
-    driven = dataclasses.replace(cfg, snapshot_every=cfg.num_rounds) if cfg.model is ModelKind.CSS else cfg
-    state = init_run_state(driven, run_seed)
+    # The public round driver on the config itself: every round's metrics,
+    # then the final agents, ledger and RNG state.  The reference recomputes
+    # every score in every round and skips tie averaging by its own rule, so
+    # a score table frozen or a tie skip taken in the wrong round shows here.
+    state = init_run_state(cfg, run_seed)
     snapshots = {}
     for round_index, expected in enumerate(reference.metrics, 1):
         assert run_round(state, round_index) == expected, f"round {round_index}"
@@ -68,9 +83,8 @@ def test_engine_matches_the_reference_loop(cfg, run_seed):
     assert ledger_view(state.ledger, *sizes) == ledger_view(reference.ledger, *sizes)
     assert state.rng.getstate() == reference.rng.getstate()
 
-    # run_simulation on the config itself skips tie averaging in all-latent
-    # rounds after its last snapshot; its metrics and snapshots stay those
-    # of the plain loop.
+    # run_simulation makes the same rounds; its metrics and snapshots stay
+    # those of the plain loop.
     taken = []
     result = run_simulation(cfg, run_seed, taken.append if cfg.snapshot_every else None)
     assert result.metrics == reference.metrics

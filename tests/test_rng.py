@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from caresim import rng as rng_module
 from caresim.rng import RngStream, derive_run_seed, splitmix64
 from support import copying_sample
 
@@ -123,6 +124,21 @@ def test_sample_rejects_oversize():
 def test_index_stays_in_range():
     rng = RngStream(9)
     assert all(0 <= rng.index(3) < 3 for _ in range(500))
+
+
+def test_index_clamps_a_draw_of_one(monkeypatch):
+    # random() is below 1.0, but a product u * n can still round up to n;
+    # index() then returns the last position, from the same single draw.
+    monkeypatch.setattr(rng_module, "_draw", lambda stream: 1.0)
+    for n in (1, 2, 7, 1000, 2**53 + 1, 2**80):
+        assert RngStream(0).index(n) == n - 1
+
+
+def test_index_is_the_clamped_floor_of_one_draw(monkeypatch):
+    for u in (0.0, 2**-53, 0.25, 1 / 3, 0.5, 0.999, 1 - 2**-53, 1.0):
+        monkeypatch.setattr(rng_module, "_draw", lambda stream, u=u: u)
+        for n in (1, 2, 3, 7, 10, 1000, 2**53 - 1, 2**53, 2**53 + 1, 2**80):
+            assert RngStream(0).index(n) == min(int(u * n), n - 1), (u, n)
 
 
 def test_uniform_zero_one_is_random_bit_for_bit():
