@@ -176,7 +176,8 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     state.infections += infections
 
     # A treatment changes only its own patient, so who seeks care this
-    # round is settled before the first treatment.
+    # round is settled before the first treatment; once the score tables
+    # are frozen (see below), no one can.
     scores = state.latent_scores
     seekers = [] if scores is not None else sorted(
         filter(needs_doctor, state.patients), key=lambda p: (*priority(p), p.patient_id)
@@ -198,6 +199,8 @@ def run_round(state: RunState, round_index: int) -> RoundMetrics:
     rng, ledger = state.rng, state.ledger
     every = cfg.snapshot_every
     last_snapshot = cfg.num_rounds - cfg.num_rounds % every if every else 0
+    # No infection and no seeker: health, infection status and the ledger
+    # stay as they are in this round and every later one.
     all_latent = not (infections or seekers)
     average_ties = round_index <= last_snapshot or not all_latent
     if css and not average_ties and state.ties_unaveraged_from is None:
