@@ -35,9 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rounds", dest="num_rounds", type=int)
     parser.add_argument("--repeats", dest="num_repeats", type=int)
     parser.add_argument("--infected", dest="num_infected_per_round", type=int)
-    parser.add_argument("--seed", dest="base_seed", type=int, default=0)
+    parser.add_argument("--seed", dest="base_seed", type=int)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--snapshot-every", type=int, default=0)
+    parser.add_argument("--snapshot-every", type=int)
     parser.add_argument("--tournaments-per-round", type=int)
     parser.add_argument("--elites", dest="num_elites", type=int)
     parser.add_argument("--mutation-chance", type=float)
@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+        return exc.code
 
     try:
         config = config_from_args(args)

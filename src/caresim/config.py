@@ -33,6 +33,11 @@ class ConfigError(ValueError):
 DEFAULT_MUTATION_CHANCE = {ModelKind.CLASSICAL: 0.5, ModelKind.CSS: 0.01}
 DEFAULT_CROSSOVER_CHANCE = {ModelKind.CLASSICAL: 0.3, ModelKind.CSS: 0.5}
 
+# Integer fields in check order; the first one that is not an int is reported.
+INTEGER_FIELDS = ("num_doctors", "num_patients", "num_rounds", "num_infected_per_round",
+                  "num_repeats", "tournament_size", "num_elites", "base_seed",
+                  "snapshot_every", "tournaments_per_round")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -65,20 +70,10 @@ class SimulationConfig:
             object.__setattr__(self, "mutation_chance", DEFAULT_MUTATION_CHANCE[self.model])
         if self.crossover_chance is None:
             object.__setattr__(self, "crossover_chance", DEFAULT_CROSSOVER_CHANCE[self.model])
-        counts = {
-            "num_doctors": self.num_doctors,
-            "num_patients": self.num_patients,
-            "num_rounds": self.num_rounds,
-            "num_infected_per_round": self.num_infected_per_round,
-            "num_repeats": self.num_repeats,
-            "tournament_size": self.tournament_size,
-            "num_elites": self.num_elites,
-            "base_seed": self.base_seed,
-            "snapshot_every": self.snapshot_every,
-        }
-        if self.tournaments_per_round is not None:
-            counts["tournaments_per_round"] = self.tournaments_per_round
-        for name, value in counts.items():
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if name == "tournaments_per_round" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("mutation_chance", "crossover_chance"):

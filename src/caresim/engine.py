@@ -282,12 +282,8 @@ class BatchResult:
 
 def aggregate_rounds(per_run_metrics: list[list[RoundMetrics]], model: ModelKind) -> list[RoundAggregate]:
     """Reduce per-run series (ordered by repeat index) into mean/std rows."""
-    if not per_run_metrics:
-        return []
-    num_rounds = len(per_run_metrics[0])
     aggregates = []
-    for r in range(num_rounds):
-        rows = [series[r] for series in per_run_metrics]
+    for rows in zip(*per_run_metrics, strict=True):
         mean = {}
         std = {}
         for name in METRIC_FIELDS:

@@ -127,18 +127,14 @@ def mutate_doctor_css(doctor: DoctorState, ledger: RatingLedger, rng: RngStream)
 def _renormalize_weights(patient: PatientState) -> None:
     # Clamp before normalizing so the renormalized weights both sum to 1
     # and stay inside [0, 1] even when a delta pushed one weight negative.
+    # The total stays >= 0.9: the weights enter summing to 1, and one overshoots 1 by <= 0.1.
     cred = max(0.0, min(1.0, patient.cred_weight))
     mean = max(0.0, min(1.0, patient.mean_rating_weight))
     past = max(0.0, min(1.0, patient.past_rating_weight))
     total = cred + mean + past
-    if total > 0.0:
-        patient.cred_weight = cred / total
-        patient.mean_rating_weight = mean / total
-        patient.past_rating_weight = past / total
-    else:
-        patient.cred_weight = 1 / 3
-        patient.mean_rating_weight = 1 / 3
-        patient.past_rating_weight = 1 / 3
+    patient.cred_weight = cred / total
+    patient.mean_rating_weight = mean / total
+    patient.past_rating_weight = past / total
 
 
 def mutate_patient(patient: PatientState, rng: RngStream) -> None:

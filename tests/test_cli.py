@@ -1,14 +1,30 @@
 import re
+import runpy
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
 from caresim import preset_full_scale, preset_single_run
 from caresim.cli import build_parser, config_from_args, main
+from caresim.reporting import CSV_HEADER
 
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["--bogus"]) == 2
     capsys.readouterr()
+
+
+# Running the module re-imports it beside the copy already loaded, which runpy warns about.
+@pytest.mark.filterwarnings("ignore:'caresim.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("flag, code, stream", [("--help", 0, "out"), ("--bogus", 2, "err")])
+def test_module_entry_point_exits_with_the_code_of_main(monkeypatch, capsys, flag, code, stream):
+    monkeypatch.setattr(sys, "argv", ["caresim", flag])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("caresim.cli", run_name="__main__")
+    assert info.value.code == code
+    assert getattr(capsys.readouterr(), stream).startswith("usage: caresim")
 
 
 def test_zero_doctors_is_usage_error(capsys):
@@ -42,6 +58,32 @@ def test_preset_flag_builds_the_documented_setup(preset, build, sizes, model):
     assert config == build(model)
     assert (config.num_doctors, config.num_patients, config.num_rounds,
             config.num_infected_per_round, config.num_repeats) == sizes
+
+
+def test_zero_rounds_write_header_only_metrics(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["--model", "classical", "--doctors", "6", "--patients", "10",
+                 "--rounds", "0", "--infected", "1", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == "classical: 0 rounds, header-only metrics written\n"
+    assert (out / "metrics.csv").read_text(encoding="utf-8") == ",".join(CSV_HEADER) + "\n"
+
+
+def readme_cli_commands():
+    """The argument lists of the ``caresim ...`` lines in README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("caresim ")]
+
+
+def test_readme_cli_block_lists_commands():
+    assert readme_cli_commands()
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_command_builds_a_config(argv):
+    # argparse exits on a flag it does not know; config_from_args raises on a bad value.
+    config_from_args(build_parser().parse_args(argv))
 
 
 def test_snapshot_flag_under_classical_is_usage_error(capsys):

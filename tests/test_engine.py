@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from caresim import (
+    ModelKind,
     SimulationConfig,
     capture_snapshot,
     derive_run_seed,
@@ -80,6 +81,35 @@ def test_invalid_configs_rejected():
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match="base_seed must be a non-negative 64-bit integer"):
             small_config(base_seed=seed)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("num_repeats", 0, "num_repeats must be at least 1"),
+    ("num_infected_per_round", -1, "num_infected_per_round must be non-negative"),
+    ("mutation_chance", 1.5, "mutation_chance must lie in [0, 1]"),
+    ("crossover_chance", -0.1, "crossover_chance must lie in [0, 1]"),
+    ("tournaments_per_round", 0, "tournaments_per_round must be positive when given"),
+    ("snapshot_every", -1, "snapshot_every must be non-negative"),
+])
+def test_out_of_range_value_is_rejected_with_its_message(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        small_config("css", **{field: value})
+    assert str(info.value) == message
+
+
+# The integer fields in the order the config checks them, written out here
+# so that a reordered check changes which field an error names.
+INTEGER_CHECK_ORDER = ("num_doctors", "num_patients", "num_rounds", "num_infected_per_round",
+                       "num_repeats", "tournament_size", "num_elites", "base_seed",
+                       "snapshot_every", "tournaments_per_round")
+
+
+def test_first_non_integer_in_check_order_is_named():
+    for first, name in enumerate(INTEGER_CHECK_ORDER):
+        bad = {later: 1.5 for later in INTEGER_CHECK_ORDER[first:]}
+        with pytest.raises(ConfigError) as info:
+            small_config("css", **bad)
+        assert str(info.value) == f"{name} must be an integer, got 1.5"
 
 
 def test_config_fields_cannot_be_assigned():
@@ -502,6 +532,14 @@ def test_batch_aggregation_permutation_invariant():
         for name in METRIC_FIELDS:
             assert a.mean[name] == pytest.approx(b.mean[name], abs=1e-12)
             assert a.std[name] == pytest.approx(b.std[name], abs=1e-12)
+
+
+def test_aggregate_rounds_needs_equal_length_series():
+    series = run_simulation(small_config(num_rounds=3), 1).metrics
+    assert aggregate_rounds([], ModelKind.CLASSICAL) == []
+    for runs in ([series, series[:2]], [series[:2], series]):
+        with pytest.raises(ValueError):
+            aggregate_rounds(runs, ModelKind.CLASSICAL)
 
 
 def test_batch_mean_of_constant_field_is_constant():

@@ -214,6 +214,15 @@ def test_snapshot_export_streams_in_chunks(tmp_path):
     assert peak < path.stat().st_size / 10
 
 
+def test_metrics_csv_under_a_regular_file_raises_oserror_naming_it(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    target = blocker / "metrics.csv"
+    with pytest.raises(OSError, match="^cannot write metrics CSV to") as info:
+        export_metrics_csv([], target)
+    assert str(target) in str(info.value)
+
+
 def test_snapshot_to_directory_path_raises_oserror_naming_it(tmp_path):
     target = tmp_path / "taken.json"
     target.mkdir()

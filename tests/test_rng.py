@@ -121,6 +121,12 @@ def test_sample_rejects_oversize():
         RngStream(0).sample([1, 2], 3)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_index_rejects_an_empty_range(n):
+    with pytest.raises(ValueError, match=r"^index\(\) needs a positive range$"):
+        RngStream(1).index(n)
+
+
 def test_index_stays_in_range():
     rng = RngStream(9)
     assert all(0 <= rng.index(3) < 3 for _ in range(500))
